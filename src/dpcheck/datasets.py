@@ -193,19 +193,29 @@ def pairs_within_distance(
 ) -> list[tuple[Dataset, Dataset]]:
     """All unordered pairs (D, D') with entries <= max_entry and ||D - D'||_1 <= k.
 
-    Includes the diagonal pairs (D, D).  Guarded by an enumeration budget.
+    Includes the diagonal pairs (D, D).  Each D, in lexicographic order, is
+    paired with D + o over the lexicographically nonnegative offsets o of L1
+    norm <= k, in lexicographic order: the order of a scan over D <= D'.
+    Guarded by an enumeration budget.
     """
     total = (max_entry + 1) ** n
     if total * total > budget:
         raise CapacityError(
             f"{total}^2 candidate pairs exceed enumeration budget {budget}"
         )
-    datasets = list(enumerate_datasets(n, max_entry))
-    out = []
-    for a, b in itertools.combinations_with_replacement(datasets, 2):
-        if dist_l1(a, b) <= k:
-            out.append((a, b))
-    return out
+    datasets = {d.counts: d for d in enumerate_datasets(n, max_entry)}
+    r = min(k, max_entry)  # no coordinate can move further
+    offsets = [
+        o
+        for o in itertools.product(range(-r, r + 1), repeat=n)
+        if o >= (0,) * n and sum(map(abs, o)) <= k
+    ]
+    return [
+        (a, b)
+        for counts, a in datasets.items()
+        for o in offsets
+        if (b := datasets.get(tuple(x + dx for x, dx in zip(counts, o)))) is not None
+    ]
 
 
 def counting_sensitivity_exhaustive(

@@ -257,10 +257,10 @@ def check_dp_laplace(
     budget: PrivacyBudget,
     tol: float = 1e-9,
 ) -> tuple[bool, DpWitness | None]:
-    """Quadrature DP check for additive-Laplace mechanisms, per coordinate.
+    """Closed-form DP check for additive-Laplace mechanisms, per coordinate.
 
     Each output coordinate is a shifted Laplace law, so the coordinate
-    divergences can be integrated directly.  A coordinate that exceeds the
+    divergences have a closed form.  A coordinate that exceeds the
     budget refutes DP outright; all coordinates passing certifies every
     per-coordinate marginal, and the joint guarantee then follows from
     independence across coordinates and divergence composability.

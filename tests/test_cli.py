@@ -197,6 +197,20 @@ class TestDivergenceCommand:
         assert report["method"] == "quadrature"
         assert abs(report["value"]) <= 1e-9
 
+    def test_laplace_pair_error_bound_is_not_the_tolerance(self, tmp_path):
+        payload = {
+            "epsilon": 0.8,
+            "lhs": {"kind": "laplace", "b": 1.0, "z": 0.0},
+            "rhs": {"kind": "laplace", "b": 1.0, "z": 1.0},
+        }
+        code, text = run_cli(tmp_path, "divergence", payload, "--tol", "0.1")
+        report = json.loads(text)
+        assert code == 0
+        assert report["method"] == "quadrature"
+        # 1 - e^-0.1, not a value off by up to the requested tolerance
+        assert report["value"] == pytest.approx(-math.expm1(-0.1), abs=1e-15)
+        assert report["error_bound"] < 1e-14
+
     def test_sampler_pair_uses_monte_carlo(self, tmp_path):
         payload = {
             "epsilon": 0.5,

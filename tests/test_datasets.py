@@ -96,6 +96,30 @@ class TestAdjacency:
         with pytest.raises(CapacityError):
             pairs_within_distance(8, 9, 1, budget=100)
 
+    def test_pairs_match_full_scan_in_content_and_order(self):
+        for n in range(5):
+            for max_entry in range(4):
+                datasets = list(enumerate_datasets(n, max_entry))
+                for k in range(4):
+                    # oracle: every D <= D' in lexicographic order, diagonal included
+                    scan = [
+                        (a, b)
+                        for a, b in itertools.combinations_with_replacement(datasets, 2)
+                        if dist_l1(a, b) <= k
+                    ]
+                    assert pairs_within_distance(n, max_entry, k) == scan, (n, max_entry, k)
+
+    def test_pairs_budget_boundary(self):
+        # the guard compares (max_entry + 1)^(2n) with the budget, so these
+        # are the largest max_entry values the default budget admits
+        for n, largest in ((1, 446), (2, 20), (3, 6), (4, 3)):
+            assert len(pairs_within_distance(n, largest, 1)) > 0
+            with pytest.raises(CapacityError):
+                pairs_within_distance(n, largest + 1, 1)
+        assert len(pairs_within_distance(1, 9, 1, budget=100)) == 19
+        with pytest.raises(CapacityError):
+            pairs_within_distance(1, 10, 1, budget=100)
+
 
 class TestAdjacencyChain:
     def test_greedy_example(self):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +201,72 @@ class TestLaplacePair:
             divergence_laplace_pair(0.0, 0.0, 1.0, 1.0)
         with pytest.raises(ParameterError):
             divergence_laplace_pair(1.0, 0.0, 1.0, 1.0, tol=0.0)
+
+
+def mpmath_laplace_pair(b, x, y, eps):
+    """30-digit quadrature of max(0, f_x - e^eps f_y) over the real line.
+
+    The line is split at the density kinks x, y and at the crossing point of
+    f_x = e^eps f_y, so that each piece is smooth.
+    """
+    with mpmath.workdps(30):
+        b, x, y, eps = (mpmath.mpf(v) for v in (b, x, y, eps))
+        scale = mpmath.exp(eps)
+
+        def integrand(t):
+            fx = mpmath.exp(-abs(t - x) / b) / (2 * b)
+            fy = mpmath.exp(-abs(t - y) / b) / (2 * b)
+            return max(mpmath.mpf(0), fx - scale * fy)
+
+        cuts = {x, y}
+        if abs(eps * b) <= abs(x - y):
+            cuts.add((x + y - eps * b) / 2 if x < y else (x + y + eps * b) / 2)
+        points = [-mpmath.inf, *sorted(cuts), mpmath.inf]
+        return mpmath.quad(integrand, points)
+
+
+class TestLaplacePairClosedForm:
+    @pytest.mark.parametrize(
+        "b, x, y, eps",
+        [
+            (1.0, 0.0, 1.0, 1.5),  # eps > d
+            (1.0, 0.0, 1.0, 1.0),  # eps = d exactly
+            (2.0, 0.0, 3.0, 1.5),  # eps = d exactly, d = 1.5
+            (1.0, 0.0, 1.0, 0.5),  # -d < eps < d
+            (2.0, -1.0, 3.0, 0.7),
+            (1.0, 1.0, 0.0, -0.3),
+            (1.0, 0.0, 1.0, -1.0),  # eps = -d
+            (1.0, 0.0, 1.0, -2.0),  # eps < -d
+            (1.0, 0.3, 0.3, 0.0),  # x = y
+            (1.0, 0.3, 0.3, -0.5),
+            (1.0, 0.0, 39.0, 0.5),  # d = 39 scales
+            (0.5, 0.0, 19.5, 38.0),
+            (1.0, 0.0, 39.0, -39.0),
+        ],
+    )
+    def test_matches_mpmath_quadrature(self, b, x, y, eps):
+        truth = mpmath_laplace_pair(b, x, y, eps)
+        res = divergence_laplace_pair(b, x, y, eps)
+        assert abs(res.value - truth) <= 1e-15
+        assert abs(res.value - truth) <= res.error_bound
+
+    def test_small_gap_has_relative_accuracy(self):
+        # eps = d - 2e-7 leaves a divergence near 1e-7, where 1 - exp(u)
+        # would lose about half of its significant digits
+        eps = 1.0 - 2e-7
+        truth = mpmath_laplace_pair(1.0, 0.0, 1.0, eps)
+        value = divergence_laplace_pair(1.0, 0.0, 1.0, eps).value
+        assert 0.9e-7 < value < 1.1e-7
+        assert abs(value - truth) <= 1e-12 * truth
+
+    def test_error_bound_is_rounding_not_tolerance(self):
+        # the tolerance does not loosen the value: d = 1 at eps = 0.8 is
+        # 1 - e^-0.1 whatever tol is asked for
+        res = divergence_laplace_pair(1.0, 0.0, 1.0, 0.8, tol=0.1)
+        assert res.method == "quadrature"
+        assert res.value == pytest.approx(-math.expm1(-0.1), abs=1e-15)
+        assert res.error_bound < 1e-14
+        assert abs(res.value - mpmath_laplace_pair(1.0, 0.0, 1.0, 0.8)) <= res.error_bound
 
 
 class TestMonteCarlo:

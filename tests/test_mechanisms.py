@@ -170,6 +170,16 @@ class TestCheckDpExact:
         assert witness.event == (0,)
         assert witness.gap == pytest.approx(0.75 - math.exp(1.0) * 0.25, abs=1e-12)
 
+    def test_gap_of_one_millionth_is_a_violation(self):
+        # at eps = ln((1-p)/p) - eta the event {0} has mass (1-p) under input 0
+        # and e^eps p = (1-p) e^-eta under input 1: a gap of (1-p)(1 - e^-eta)
+        p, eta = 0.25, 4e-6 / 3
+        eps = randomized_response_epsilon(p) - eta
+        ok, witness = check_dp_exact(randomized_response(p), [(0, 1)], PrivacyBudget(eps, 0.0))
+        assert not ok
+        assert witness.gap == pytest.approx((1 - p) * -math.expm1(-eta), rel=1e-6)
+        assert 0.9e-6 < witness.gap < 1.1e-6
+
     def test_vacuous_on_empty_pairs(self):
         ok, witness = check_dp_exact(randomized_response(0.1), [], PrivacyBudget(0.0, 0.0))
         assert ok and witness is None
@@ -209,6 +219,19 @@ class TestCheckDpLaplace:
     def test_requires_densities(self):
         with pytest.raises(UnsupportedError):
             check_dp_laplace(randomized_response(0.25), [(0, 1)], PrivacyBudget(1.0, 0.0))
+
+    def test_gap_of_one_millionth_is_a_violation(self):
+        # b = 1 and the pair moves the coordinate by d = 1; at eps = d - 2e-6
+        # the profile 1 - e^((eps - d)/2) is about 1e-6 above delta = 0
+        q = CountingQuerySet(1, (frozenset({0}),))
+        mech = self._counting_mech(q, 1.0, 1)
+        eps = 1.0 - 2e-6
+        ok, witness = check_dp_laplace(
+            mech, [(Dataset((0,)), Dataset((1,)))], PrivacyBudget(eps, 0.0)
+        )
+        assert not ok
+        assert witness.event == ("coordinate", 0)
+        assert witness.gap == pytest.approx(-math.expm1((eps - 1.0) / 2.0), rel=1e-9)
 
 
 class TestCheckDpStatistical:
