@@ -30,8 +30,6 @@ from .laplace import (
     laplace_interval_prob,
     laplace_pdf,
     laplace_quantile,
-    laplace_sample,
-    laplace_vector_sample,
     shift_law_check,
 )
 from .mechanisms import (
@@ -58,7 +56,6 @@ from .rnm import (
     max_argmax,
     rnm_mechanism,
     rnm_prob_exact,
-    rnm_sample,
     verify_rnm_dp_finer,
 )
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -38,6 +39,7 @@ from .errors import ConfigError, DpcheckError
 from .laplace import LaplaceDistribution, RandomSource, laplace_sample_block
 from .mechanisms import (
     Mechanism,
+    _draw,
     PrivacyBudget,
     SensitivitySpec,
     add_budgets,
@@ -45,6 +47,7 @@ from .mechanisms import (
     check_dp_laplace,
     check_dp_statistical,
     group_budget,
+    jsonable,
     laplace_mechanism,
     pair_compose,
     post_process,
@@ -92,6 +95,17 @@ def _require(cfg: dict, key: str, context: str):
     return cfg[key]
 
 
+def _number(value, what: str, kind: type = float):
+    """A config value as a finite int or float; ConfigError otherwise."""
+    try:
+        number = kind(value)
+        if math.isfinite(number):
+            return number
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def _parse_queries(obj) -> CountingQuerySet:
     try:
         return CountingQuerySet.from_json(obj)
@@ -118,12 +132,12 @@ def build_mechanism(cfg: dict) -> Mechanism:
     kind = _require(cfg, "kind", "mechanism")
     if kind == "laplace":
         q = _parse_queries(_require(cfg, "queries", "laplace mechanism"))
-        eps = float(_require(cfg, "epsilon", "laplace mechanism"))
+        eps = _number(_require(cfg, "epsilon", "laplace mechanism"), "laplace mechanism epsilon")
         sens_value = cfg.get("sensitivity")
         if sens_value is None:
             sens = SensitivitySpec(float(counting_sensitivity_analytic(q)), "analytic")
         else:
-            sens = SensitivitySpec(float(sens_value), "declared")
+            sens = SensitivitySpec(_number(sens_value, "laplace mechanism sensitivity"), "declared")
         return laplace_mechanism(
             lambda d, q=q: [float(v) for v in counting_query(q, d)],
             q.m,
@@ -133,10 +147,11 @@ def build_mechanism(cfg: dict) -> Mechanism:
         )
     if kind == "rnm":
         q = _parse_queries(_require(cfg, "queries", "rnm mechanism"))
-        eps = float(_require(cfg, "epsilon", "rnm mechanism"))
+        eps = _number(_require(cfg, "epsilon", "rnm mechanism"), "rnm mechanism epsilon")
         return rnm_mechanism(q, eps, noise_mask=cfg.get("noise_mask"))
     if kind == "randomized-response":
-        return randomized_response(float(_require(cfg, "flip_prob", "randomized response")))
+        flip_prob = _require(cfg, "flip_prob", "randomized response")
+        return randomized_response(_number(flip_prob, "randomized response flip_prob"))
     if kind == "composed":
         op = _require(cfg, "op", "composed mechanism")
         if op == "pair":
@@ -155,9 +170,10 @@ def build_mechanism(cfg: dict) -> Mechanism:
 def build_adjacency(cfg: dict) -> list[tuple]:
     kind = _require(cfg, "kind", "adjacency")
     if kind == "l1":
-        n = int(_require(cfg, "n", "l1 adjacency"))
-        max_entry = int(_require(cfg, "max_entry", "l1 adjacency"))
-        k = int(cfg.get("k", 1))
+        n = _number(_require(cfg, "n", "l1 adjacency"), "l1 adjacency n", int)
+        max_entry = _require(cfg, "max_entry", "l1 adjacency")
+        max_entry = _number(max_entry, "l1 adjacency max_entry", int)
+        k = _number(cfg.get("k", 1), "l1 adjacency k", int)
         return pairs_within_distance(n, max_entry, k)
     if kind == "pairs":
         items = _require(cfg, "items", "pair list")
@@ -167,17 +183,12 @@ def build_adjacency(cfg: dict) -> list[tuple]:
 
 def _parse_budget(cfg: dict) -> PrivacyBudget:
     try:
-        return PrivacyBudget(float(_require(cfg, "epsilon", "budget")), float(cfg.get("delta", 0.0)))
+        return PrivacyBudget(
+            _number(_require(cfg, "epsilon", "budget"), "budget epsilon"),
+            _number(cfg.get("delta", 0.0), "budget delta"),
+        )
     except DpcheckError as exc:
         raise ConfigError(f"bad budget: {exc}") from exc
-
-
-def _jsonable_output(value):
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable_output(v) for v in value]
-    return value
 
 
 def _dump(report: dict) -> str:
@@ -201,10 +212,8 @@ def cmd_sample(run: RunConfig) -> tuple[int, str]:
         "mechanism": cfg["mechanism"],
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for _ in range(run.samples):
-        lines.append(
-            json.dumps({"output": _jsonable_output(mech.sample(value, rng))}, sort_keys=True)
-        )
+    for output in _draw(mech, value, rng, run.samples):
+        lines.append(json.dumps({"output": jsonable(output)}, sort_keys=True))
     return EXIT_PASS, "\n".join(lines) + "\n"
 
 
@@ -212,13 +221,15 @@ def _dist_spec(obj: dict):
     """Classify a distribution spec: ('discrete', dist) | ('laplace', d) | ('sampler', fn, shape)."""
     kind = _require(obj, "kind", "distribution spec")
     if kind == "discrete":
+        probs = _require(obj, "probs", "discrete spec")
         dist = DiscreteDistribution(
             tuple(_require(obj, "support", "discrete spec")),
-            tuple(float(p) for p in _require(obj, "probs", "discrete spec")),
+            tuple(_number(p, "discrete spec probs") for p in probs),
         )
         return ("discrete", dist)
     if kind == "laplace":
-        return ("laplace", LaplaceDistribution(float(_require(obj, "b", "laplace spec")), float(obj.get("z", 0.0))))
+        b = _number(_require(obj, "b", "laplace spec"), "laplace spec b")
+        return ("laplace", LaplaceDistribution(b, _number(obj.get("z", 0.0), "laplace spec z")))
     if kind == "mechanism":
         mech = build_mechanism(_require(obj, "mechanism", "mechanism spec"))
         value = _parse_input(_require(obj, "input", "mechanism spec"))
@@ -249,17 +260,15 @@ def _spec_sampler(spec, rng: RandomSource) -> tuple[Callable[[int], Any], str]:
         shape = "scalar"
 
     def draw(n: int):
-        if mech.sample_block is not None:
-            block = mech.sample_block(value, rng, n)
-            if shape == "scalar" and getattr(block, "ndim", 1) == 2:
-                return np.asarray(block)[:, 0]
-            return block
-        out = [mech.sample(value, rng) for _ in range(n)]
-        if shape == "scalar":
-            return np.asarray([v[0] if isinstance(v, (list, tuple)) else v for v in out], dtype=float)
+        out = _draw(mech, value, rng, n)
+        if shape == "labels":
+            return out
         if shape == "vector":
             return np.asarray(out, dtype=float)
-        return out
+        # one real per draw: the first coordinate of a block row or a composed pair
+        if isinstance(out, np.ndarray):
+            return out[:, 0]
+        return np.asarray([v[0] for v in out], dtype=float)
 
     return draw, shape
 
@@ -274,7 +283,7 @@ def _spec_labels(spec) -> tuple | None:
 
 def cmd_divergence(run: RunConfig) -> tuple[int, str]:
     cfg = run.config
-    eps = float(_require(cfg, "epsilon", "divergence"))
+    eps = _number(_require(cfg, "epsilon", "divergence"), "divergence epsilon")
     lhs = _dist_spec(_require(cfg, "lhs", "divergence"))
     rhs = _dist_spec(_require(cfg, "rhs", "divergence"))
     method = run.method
@@ -393,10 +402,10 @@ def rnm_query_families(n: int, m: int) -> dict[str, CountingQuerySet]:
 
 def cmd_rnm_verify(run: RunConfig) -> tuple[int, str]:
     cfg = run.config
-    n = int(cfg.get("n", 3))
-    max_entry = int(cfg.get("max_entry", 2))
-    m_max = int(cfg.get("m_max", 3))
-    eps = float(_require(cfg, "epsilon", "rnm-verify"))
+    n = _number(cfg.get("n", 3), "rnm-verify n", int)
+    max_entry = _number(cfg.get("max_entry", 2), "rnm-verify max_entry", int)
+    m_max = _number(cfg.get("m_max", 3), "rnm-verify m_max", int)
+    eps = _number(_require(cfg, "epsilon", "rnm-verify"), "rnm-verify epsilon")
     if run.tol <= 0:
         raise ConfigError("tolerance must be positive")
     wanted = cfg.get("families")
@@ -445,7 +454,7 @@ def fold_budget_tree(node: dict) -> PrivacyBudget:
     if kind == "post":
         return fold_budget_tree(_require(node, "child", "post node"))
     if kind == "group":
-        k = int(_require(node, "k", "group node"))
+        k = _number(_require(node, "k", "group node"), "group node k", int)
         try:
             return group_budget(fold_budget_tree(_require(node, "child", "group node")), k)
         except DpcheckError as exc:
@@ -506,10 +515,10 @@ def _load_run(args: argparse.Namespace) -> RunConfig:
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     run = RunConfig(command=args.command, config=cfg)
-    run.seed = int(cfg.get("seed", run.seed))
-    run.samples = int(cfg.get("samples", run.samples))
-    run.tol = float(cfg.get("tol", run.tol))
-    run.alpha = float(cfg.get("alpha", run.alpha))
+    run.seed = _number(cfg.get("seed", run.seed), "seed", int)
+    run.samples = _number(cfg.get("samples", run.samples), "samples", int)
+    run.tol = _number(cfg.get("tol", run.tol), "tol")
+    run.alpha = _number(cfg.get("alpha", run.alpha), "alpha")
     run.method = str(cfg.get("method", run.method))
     for field in ("seed", "samples", "tol", "alpha", "method", "out"):
         value = getattr(args, field)

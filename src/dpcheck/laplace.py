@@ -1,4 +1,4 @@
-"""Exact Laplace distribution math and seeded inverse-transform sampling.
+"""Exact Laplace distribution math and seeded, vectorized sampling.
 
 For scale b > 0 and location z the density and CDF are
 
@@ -7,15 +7,15 @@ For scale b > 0 and location z the density and CDF are
            1 - exp(-(x - z) / b) / 2     for x >= z
 
 A nonpositive scale degenerates to a point mass at z, so mechanism code
-never has to branch on the scale.  All sampling is inverse-transform from
-a seeded uniform stream, which keeps runs exactly reproducible.
+never has to branch on the scale.  The one sampler, ``laplace_sample_block``,
+inverts the CDF on a block of seeded uniforms, which keeps runs exactly
+reproducible.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -44,13 +44,6 @@ class RandomSource:
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-
-    def uniform(self) -> float:
-        """One double from the open interval (0, 1)."""
-        u = self._gen.random()
-        while u == 0.0:
-            u = self._gen.random()
-        return u
 
     def uniform_block(self, n: int) -> np.ndarray:
         """A block of n doubles from (0, 1); zeros are redrawn afterwards."""
@@ -102,15 +95,9 @@ def laplace_quantile(d: LaplaceDistribution, p: float) -> float:
     return d.z - d.b * math.log(2.0 * (1.0 - p))
 
 
-def laplace_sample(d: LaplaceDistribution, rng: RandomSource) -> float:
-    """One draw: the quantile of a uniform; a point mass returns z directly."""
-    if d.is_point_mass:
-        return d.z
-    return laplace_quantile(d, rng.uniform())
-
-
 def laplace_sample_block(d: LaplaceDistribution, rng: RandomSource, n: int) -> np.ndarray:
-    """Vectorized draws for Monte Carlo work; same scheme as laplace_sample."""
+    """n draws: the inverse CDF of n seeded uniforms; a point mass repeats z
+    and consumes no uniforms."""
     if d.is_point_mass:
         return np.full(n, d.z, dtype=float)
     u = rng.uniform_block(n)
@@ -135,11 +122,6 @@ def laplace_interval_prob(d: LaplaceDistribution, lo: float, hi: float) -> float
     if hi <= d.z:
         return -math.exp((hi - d.z) / d.b) * math.expm1(-(hi - lo) / d.b) / 2.0
     return laplace_cdf(d, hi) - laplace_cdf(d, lo)
-
-
-def laplace_vector_sample(b: float, locations: Sequence[float], rng: RandomSource) -> list[float]:
-    """Independent Laplace(b) noise added to each location, head first."""
-    return [laplace_sample(LaplaceDistribution(b, z), rng) for z in locations]
 
 
 def shift_law_check(

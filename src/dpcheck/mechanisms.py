@@ -36,12 +36,7 @@ from .errors import (
     UnsupportedError,
     ValidationError,
 )
-from .laplace import (
-    LaplaceDistribution,
-    RandomSource,
-    laplace_sample_block,
-    laplace_vector_sample,
-)
+from .laplace import LaplaceDistribution, RandomSource, laplace_sample_block
 
 VERDICT_NO_VIOLATION = "no-violation-found"
 VERDICT_VIOLATION = "violation"
@@ -102,11 +97,13 @@ class Mechanism:
     Fields:
       input_desc:  histogram length (int) or a tuple of abstract input labels.
       output_desc: ("finite", labels) | ("real-vector", m) | ("real",) | ("opaque",).
-      sample:      (input, RandomSource) -> output.
+      sample:      (input, RandomSource) -> output, one draw.
       pmf:         input -> DiscreteDistribution, when outputs are finite and exact.
       densities:   input -> per-coordinate LaplaceDistribution tuple, for
                    additive-noise mechanisms with real outputs.
-      sample_block: optional vectorized sampler (input, rng, n) -> ndarray.
+      sample_block: optional vectorized sampler (input, rng, n) -> ndarray,
+                   one row per draw.  Built-in mechanisms implement their law
+                   only here and derive ``sample`` with ``single_draw``.
     """
 
     input_desc: Any
@@ -115,6 +112,22 @@ class Mechanism:
     pmf: Optional[Callable[[Any], DiscreteDistribution]] = None
     densities: Optional[Callable[[Any], tuple[LaplaceDistribution, ...]]] = None
     sample_block: Optional[Callable[[Any, RandomSource, int], np.ndarray]] = None
+
+
+def single_draw(sample_block: Callable[[Any, RandomSource, int], np.ndarray]):
+    """The one-draw sampler of a block sampler: row 0 of a one-row block."""
+
+    def sample(x, rng: RandomSource):
+        return sample_block(x, rng, 1)[0].tolist()
+
+    return sample
+
+
+def _draw(mech: Mechanism, x, rng: RandomSource, n: int):
+    """n draws of mech at x: its block sampler if it has one, else n single draws."""
+    if mech.sample_block is not None:
+        return mech.sample_block(x, rng, n)
+    return [mech.sample(x, rng) for _ in range(n)]
 
 
 def laplace_mechanism(
@@ -135,9 +148,6 @@ def laplace_mechanism(
         raise ParameterError(f"sensitivity must be finite and positive, got {sens.value}")
     b = sens.value / eps
 
-    def sample(x, rng: RandomSource):
-        return laplace_vector_sample(b, f(x), rng)
-
     def sample_block(x, rng: RandomSource, n: int) -> np.ndarray:
         locs = list(f(x))
         if not locs:
@@ -151,7 +161,7 @@ def laplace_mechanism(
     return Mechanism(
         input_desc=input_desc,
         output_desc=("real-vector", m),
-        sample=sample,
+        sample=single_draw(sample_block),
         densities=densities,
         sample_block=sample_block,
     )
@@ -167,9 +177,6 @@ def randomized_response(flip_prob: float) -> Mechanism:
             raise DomainError("randomized response expects a bit input")
         return DiscreteDistribution.from_mapping({x: 1.0 - flip_prob, 1 - x: flip_prob})
 
-    def sample(x, rng: RandomSource):
-        return pmf(x).sample(rng)
-
     def sample_block(x, rng: RandomSource, n: int) -> np.ndarray:
         dist = pmf(x)
         idx = dist.sample_index_block(rng, n)
@@ -178,7 +185,7 @@ def randomized_response(flip_prob: float) -> Mechanism:
     return Mechanism(
         input_desc=(0, 1),
         output_desc=("finite", (0, 1)),
-        sample=sample,
+        sample=single_draw(sample_block),
         pmf=pmf,
         sample_block=sample_block,
     )
@@ -207,22 +214,24 @@ class DpWitness:
 
     def to_json(self) -> dict:
         return {
-            "pair": [_jsonable(self.pair[0]), _jsonable(self.pair[1])],
+            "pair": jsonable(self.pair),
             "direction": self.direction,
-            "event": _jsonable(self.event),
+            "event": jsonable(self.event),
             "gap": self.gap,
         }
 
 
-def _jsonable(x):
+def jsonable(x):
+    """x as plain JSON values: datasets, sequences, arrays and numpy scalars
+    are converted, anything else unknown becomes its repr."""
     if isinstance(x, Dataset):
         return x.to_json()
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.floating):
-        return float(x)
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, np.generic):
+        return x.item()
     if isinstance(x, (int, float, str, bool)) or x is None:
         return x
     return repr(x)
@@ -317,21 +326,16 @@ class StatisticalAuditReport:
         }
 
 
-def _draw(mech: Mechanism, x, rng: RandomSource, n: int):
-    if mech.sample_block is not None:
-        return mech.sample_block(x, rng, n)
-    return [mech.sample(x, rng) for _ in range(n)]
-
-
-def _default_events(mech: Mechanism, pooled) -> list[Event]:
+def _default_events(mech: Mechanism, xs, ys) -> list[Event]:
     kind = mech.output_desc[0]
     if kind == "finite":
         return label_subset_events(mech.output_desc[1])
+    if kind not in ("real-vector", "real"):
+        raise UnsupportedError(f"no default event family for outputs of kind {kind!r}")
+    pooled = np.concatenate([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
     if kind == "real-vector":
-        return coordinate_interval_events(np.asarray(pooled, dtype=float))
-    if kind == "real":
-        return interval_events(np.asarray(pooled, dtype=float))
-    raise UnsupportedError(f"no default event family for outputs of kind {kind!r}")
+        return coordinate_interval_events(pooled)
+    return interval_events(pooled)
 
 
 def check_dp_statistical(
@@ -360,15 +364,7 @@ def check_dp_statistical(
     tests = 0
     rows = []
     for (pair, xs, ys) in drawn:
-        pair_events = events
-        if pair_events is None:
-            if mech.output_desc[0] == "finite":
-                pooled = None
-            elif isinstance(xs, np.ndarray):
-                pooled = np.concatenate([xs, ys])
-            else:
-                pooled = list(xs) + list(ys)
-            pair_events = _default_events(mech, pooled)
+        pair_events = events if events is not None else _default_events(mech, xs, ys)
         tests += 2 * len(pair_events)
         rows.append((pair, xs, ys, pair_events))
 

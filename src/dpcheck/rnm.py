@@ -1,5 +1,6 @@
-"""Report noisy max over counting queries: exact argmax machinery, samplers,
-an analytic probability evaluator, and verification of its privacy bounds.
+"""Report noisy max over counting queries: exact argmax machinery, the
+mechanism and its vectorized sampler, an analytic probability evaluator, and
+verification of its privacy bounds.
 
 The argmax follows the recursive evaluation used throughout: the maximum of
 the empty list is -inf with index 0, and a strictly greater head takes
@@ -32,9 +33,8 @@ from .laplace import (
     laplace_cdf,
     laplace_pdf,
     laplace_sample_block,
-    laplace_vector_sample,
 )
-from .mechanisms import Mechanism
+from .mechanisms import Mechanism, single_draw
 from .quadrature import integrate_piecewise
 
 NEG_INF = float("-inf")
@@ -96,38 +96,10 @@ class NoiseAssignment:
         return list_insert(r, self.values, self.hole)
 
 
-def rnm_sample(q: CountingQuerySet, eps: float, dataset, rng: RandomSource) -> int:
-    """One draw of report noisy max with Lap(1/eps) noise on each query value.
-
-    With fewer than two queries the output is the constant 0 and no noise
-    is consumed.
-    """
-    if eps <= 0:
-        raise ParameterError("report noisy max requires eps > 0")
-    scores = counting_query(q, dataset)
-    if len(scores) <= 1:
-        return 0
-    return argmax_list(laplace_vector_sample(1.0 / eps, scores, rng))
-
-
 def _argmax_last_rows(matrix: np.ndarray) -> np.ndarray:
     # last maximal index per row, matching the recursive tie convention
     m = matrix.shape[1]
     return m - 1 - np.argmax(matrix[:, ::-1], axis=1)
-
-
-def rnm_sample_block(
-    q: CountingQuerySet, eps: float, dataset, rng: RandomSource, n: int
-) -> np.ndarray:
-    """Vectorized rnm_sample draws for Monte Carlo estimation."""
-    if eps <= 0:
-        raise ParameterError("report noisy max requires eps > 0")
-    scores = counting_query(q, dataset)
-    if len(scores) <= 1:
-        return np.zeros(n, dtype=int)
-    b = 1.0 / eps
-    cols = [laplace_sample_block(LaplaceDistribution(b, c), rng, n) for c in scores]
-    return _argmax_last_rows(np.column_stack(cols))
 
 
 def rnm_mechanism(
@@ -138,7 +110,10 @@ def rnm_mechanism(
     ``noise_mask`` selects which query values receive noise; masking
     coordinates out reproduces the classic broken variant for audits.  The
     mechanism is sampler-only: argmax probabilities are quadrature values,
-    not exact pmfs.
+    not exact pmfs.  ``sample_block`` draws Lap(1/eps) noise query by
+    query, one column of n draws each, and reports the last maximal index
+    per row; ``sample`` is its one-row block.  With fewer than two queries
+    the output is the constant 0 and no noise is consumed.
     """
     if eps <= 0:
         raise ParameterError("report noisy max requires eps > 0")
@@ -146,17 +121,6 @@ def rnm_mechanism(
     if len(mask) != q.m:
         raise DimensionError(f"noise mask length {len(mask)} does not match m={q.m}")
     b = 1.0 / eps
-
-    def noisy_scores(x, rng: RandomSource) -> list[float]:
-        return [
-            (laplace_vector_sample(b, [c], rng)[0] if keep else float(c))
-            for c, keep in zip(counting_query(q, x), mask)
-        ]
-
-    def sample(x, rng: RandomSource) -> int:
-        if q.m <= 1:
-            return 0
-        return argmax_list(noisy_scores(x, rng))
 
     def sample_block(x, rng: RandomSource, n: int) -> np.ndarray:
         if q.m <= 1:
@@ -172,7 +136,7 @@ def rnm_mechanism(
     return Mechanism(
         input_desc=q.n,
         output_desc=("finite", tuple(range(q.m))),
-        sample=sample,
+        sample=single_draw(sample_block),
         sample_block=sample_block,
     )
 

@@ -8,12 +8,15 @@ from dpcheck.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_VIOLATION,
+    build_mechanism,
     exit_code_for,
     fold_budget_tree,
     main,
     rnm_query_families,
 )
+from dpcheck.datasets import Dataset
 from dpcheck.errors import ConfigError
+from dpcheck.laplace import RandomSource
 from dpcheck.mechanisms import PrivacyBudget
 
 
@@ -145,6 +148,24 @@ class TestSample:
         assert code == 0
         outputs = [json.loads(line)["output"] for line in text.strip().split("\n")[1:]]
         assert outputs == [0, 0, 0, 0, 0]
+
+    @pytest.mark.parametrize(
+        "mechanism",
+        [
+            {"kind": "laplace", "queries": {"n": 2, "queries": [[0], [0, 1]]}, "epsilon": 1.0},
+            {"kind": "rnm", "queries": {"n": 2, "queries": [[0], [1], [0, 1]]}, "epsilon": 1.0},
+        ],
+        ids=["laplace-m2", "rnm"],
+    )
+    def test_rows_come_from_the_block_sampler(self, tmp_path, mechanism):
+        # the sample command releases exactly what the statistical audit draws
+        payload = {"mechanism": mechanism, "input": {"histogram": [3, 1]}}
+        payload.update(samples=20, seed=13)
+        code, text = run_cli(tmp_path, "sample", payload)
+        assert code == 0
+        outputs = [json.loads(line)["output"] for line in text.strip().split("\n")[1:]]
+        block = build_mechanism(mechanism).sample_block(Dataset((3, 1)), RandomSource(13), 20)
+        assert outputs == block.tolist()
 
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = main(["sample", "--config", str(tmp_path / "nope.json")])
@@ -335,6 +356,108 @@ class TestRnmVerifyCommand:
         assert set(families) == {"identical", "singletons", "prefixes", "contrast"}
         assert all(q.m == 4 for q in families.values())
         assert families["identical"].predicates == (frozenset({0}),) * 4
+
+
+NAN, INF = float("nan"), float("inf")
+LAPLACE_M1 = {"kind": "laplace", "queries": {"n": 2, "queries": [[0]]}, "epsilon": 1.0}
+RR = {"kind": "randomized-response", "flip_prob": 0.25}
+BIT_PAIR = {"kind": "pairs", "items": [[0, 1]]}
+
+
+def with_field(payload, path, value):
+    """A copy of payload with the field at the dotted key path set to value."""
+    payload = json.loads(json.dumps(payload))
+    *parents, leaf = path.split(".")
+    node = payload
+    for key in parents:
+        node = node[key]
+    node[leaf] = value
+    return payload
+
+
+def assert_config_error(tmp_path, capsys, command, payload):
+    code, text = run_cli(tmp_path, command, payload)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and "must be a finite number" in err
+    assert text == ""
+
+
+class TestNumericConfigFields:
+    """Non-numeric and non-finite config numbers exit 2 with a message."""
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("mechanism.epsilon", "abc"),
+            ("mechanism.epsilon", NAN),
+            ("mechanism.sensitivity", INF),
+            ("samples", "many"),
+            ("seed", NAN),
+        ],
+    )
+    def test_sample(self, tmp_path, capsys, path, value):
+        payload = {"mechanism": LAPLACE_M1, "input": {"histogram": [3, 1]}, "samples": 2}
+        assert_config_error(tmp_path, capsys, "sample", with_field(payload, path, value))
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("epsilon", NAN),
+            ("lhs.b", "one"),
+            ("rhs.z", -INF),
+            ("alpha", [0.05]),
+        ],
+    )
+    def test_divergence(self, tmp_path, capsys, path, value):
+        payload = {
+            "epsilon": 1.0,
+            "lhs": {"kind": "laplace", "b": 1.0, "z": 0.0},
+            "rhs": {"kind": "laplace", "b": 1.0, "z": 1.0},
+        }
+        assert_config_error(tmp_path, capsys, "divergence", with_field(payload, path, value))
+
+    @pytest.mark.parametrize(
+        "config,path,value",
+        [
+            ("rr", "mechanism.flip_prob", NAN),
+            ("rr", "budget.delta", INF),
+            ("rr", "budget.epsilon", "1/2"),
+            ("l1", "adjacency.n", "two"),
+            ("l1", "adjacency.max_entry", NAN),
+            ("l1", "adjacency.k", None),
+        ],
+    )
+    def test_audit(self, tmp_path, capsys, config, path, value):
+        payloads = {
+            "rr": {"mechanism": RR, "budget": {"epsilon": 1.0}, "adjacency": BIT_PAIR},
+            "l1": {
+                "mechanism": LAPLACE_M1,
+                "budget": {"epsilon": 1.0},
+                "adjacency": {"kind": "l1", "n": 2, "max_entry": 1, "k": 1},
+            },
+        }
+        assert_config_error(tmp_path, capsys, "audit", with_field(payloads[config], path, value))
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [("n", "abc"), ("max_entry", INF), ("m_max", "3x"), ("epsilon", NAN), ("tol", NAN)],
+    )
+    def test_rnm_verify(self, tmp_path, capsys, path, value):
+        payload = {"epsilon": 1.0, "n": 2, "max_entry": 1, "m_max": 1}
+        assert_config_error(tmp_path, capsys, "rnm-verify", with_field(payload, path, value))
+
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            ("tree.k", "two"),
+            ("tree.child.epsilon", NAN),
+            ("tree.child.delta", "tiny"),
+        ],
+    )
+    def test_accountant(self, tmp_path, capsys, path, value):
+        payload = {"tree": {"kind": "group", "k": 2, "child": {"kind": "budget", "epsilon": 0.5}}}
+        assert_config_error(tmp_path, capsys, "accountant", with_field(payload, path, value))
 
 
 class TestByteIdenticalReports:

@@ -335,6 +335,33 @@ class TestMonteCarlo:
         with pytest.raises(DomainError):
             clopper_pearson(5, 4, 0.05)
 
+    def test_clopper_pearson_closed_forms_at_the_ends(self):
+        # k = 0: hi solves (1 - hi)^n = alpha/2; k = n: lo solves lo^n = alpha/2
+        for n, alpha in ((1, 0.05), (20, 0.05), (1000, 1e-6)):
+            assert clopper_pearson(0, n, alpha)[1] == pytest.approx(
+                -math.expm1(math.log(alpha / 2.0) / n), rel=1e-12
+            )
+            lo = clopper_pearson(n, n, alpha)[0]
+            assert lo == pytest.approx((alpha / 2.0) ** (1.0 / n), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "k,n,alpha",
+        [(3, 20, 0.05), (17, 20, 0.05), (100, 200, 1e-6), (1, 1000, 1e-6), (999, 1000, 1e-3)],
+    )
+    def test_clopper_pearson_against_mpmath(self, k, n, alpha):
+        # lo and hi solve I_lo(k, n-k+1) = alpha/2 and I_hi(k+1, n-k) = 1 - alpha/2,
+        # by bisection on the regularized incomplete beta at 30 digits
+        def quantile(a, b, level):
+            with mpmath.workdps(30):
+                def cdf_gap(x):
+                    return mpmath.betainc(a, b, 0, x, regularized=True) - level
+
+                return float(mpmath.findroot(cdf_gap, (0, 1), solver="bisect", verify=False))
+
+        lo, hi = clopper_pearson(k, n, alpha)
+        assert lo == pytest.approx(quantile(k, n - k + 1, mpmath.mpf(alpha) / 2), rel=1e-12)
+        assert hi == pytest.approx(quantile(k + 1, n - k, 1 - mpmath.mpf(alpha) / 2), rel=1e-12)
+
     def test_label_subset_events_enumerates_all(self):
         events = label_subset_events((0, 1, 2))
         assert len(events) == 7

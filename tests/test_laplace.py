@@ -13,9 +13,7 @@ from dpcheck.laplace import (
     laplace_interval_prob,
     laplace_pdf,
     laplace_quantile,
-    laplace_sample,
     laplace_sample_block,
-    laplace_vector_sample,
     shift_law_check,
 )
 from dpcheck.quadrature import integrate_piecewise
@@ -125,17 +123,23 @@ class TestQuantile:
 
 class TestSampling:
     def test_point_mass_returns_location(self):
-        assert laplace_sample(LaplaceDistribution(0.0, 4.0), RandomSource(0)) == 4.0
-        assert laplace_sample(LaplaceDistribution(-2.0, 4.0), RandomSource(1)) == 4.0
+        zero_scale, negative_scale = LaplaceDistribution(0.0, 4.0), LaplaceDistribution(-2.0, 4.0)
+        assert laplace_sample_block(zero_scale, RandomSource(0), 3).tolist() == [4.0] * 3
+        assert laplace_sample_block(negative_scale, RandomSource(1), 1).tolist() == [4.0]
+        # a point mass consumes no uniforms
+        rng = RandomSource(2)
+        laplace_sample_block(zero_scale, rng, 5)
+        fresh = laplace_sample_block(UNIT, RandomSource(2), 4)
+        assert laplace_sample_block(UNIT, rng, 4).tolist() == fresh.tolist()
 
     def test_same_seed_same_stream(self):
-        a = [laplace_sample(UNIT, RandomSource(42)) for _ in range(1)]
-        b = [laplace_sample(UNIT, RandomSource(42)) for _ in range(1)]
-        assert a == b
+        a = laplace_sample_block(UNIT, RandomSource(42), 1)
+        b = laplace_sample_block(UNIT, RandomSource(42), 1)
+        assert a.tolist() == b.tolist()
         xs = RandomSource(7)
         ys = RandomSource(7)
-        assert [laplace_sample(UNIT, xs) for _ in range(10)] == [
-            laplace_sample(UNIT, ys) for _ in range(10)
+        assert [laplace_sample_block(UNIT, xs, 2).tolist() for _ in range(5)] == [
+            laplace_sample_block(UNIT, ys, 2).tolist() for _ in range(5)
         ]
 
     def test_fork_is_deterministic_and_distinct(self):
@@ -143,25 +147,10 @@ class TestSampling:
         assert rng.fork(3).seed == RandomSource(11).fork(3).seed
         assert rng.fork(3).seed != rng.fork(4).seed
 
-    def test_block_matches_scalar_stream(self):
-        block = laplace_sample_block(UNIT, RandomSource(5), 64)
-        rng = RandomSource(5)
-        singles = [laplace_sample(UNIT, rng) for _ in range(64)]
-        assert np.allclose(block, singles, rtol=0, atol=1e-12)
-
     def test_empirical_cdf_passes_ks(self):
         samples = laplace_sample_block(UNIT, RandomSource(123), 100_000)
         result = stats.kstest(samples, lambda t: np.vectorize(lambda x: laplace_cdf(UNIT, x))(t))
         assert result.pvalue > 0.001
-
-    def test_vector_sampling(self):
-        assert laplace_vector_sample(1.0, [], RandomSource(0)) == []
-        assert laplace_vector_sample(0.0, [1, 2, 3], RandomSource(0)) == [1, 2, 3]
-        # componentwise draws come off one stream, head first
-        rng = RandomSource(9)
-        vec = laplace_vector_sample(1.0, [0.0, 0.0], rng)
-        fresh = RandomSource(9)
-        assert vec == [laplace_sample(UNIT, fresh), laplace_sample(UNIT, fresh)]
 
 
 class TestShiftLaw:

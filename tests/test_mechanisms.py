@@ -112,6 +112,7 @@ class TestLaplaceMechanism:
     def test_zero_queries_returns_empty(self):
         mech = laplace_mechanism(lambda d: [], 0, SensitivitySpec(1.0, "declared"), 1.0)
         assert mech.sample(Dataset((1,)), RandomSource(0)) == []
+        assert mech.sample_block(Dataset((1,)), RandomSource(0), 3).shape == (3, 0)
 
     def test_noise_scale_is_sensitivity_over_eps(self):
         mech = laplace_mechanism(
@@ -179,6 +180,24 @@ class TestCheckDpExact:
         assert not ok
         assert witness.gap == pytest.approx((1 - p) * -math.expm1(-eta), rel=1e-6)
         assert 0.9e-6 < witness.gap < 1.1e-6
+
+    def test_reverse_only_violation(self):
+        # mu = (0.9, 0.1) and nu = (0.5, 0.5) at eps = ln 2: D(mu||nu) = 0, while
+        # D(nu||mu) = 0.5 - 2 * 0.1 = 0.3 on the event {1}; delta = 0.1 sits between
+        laws = {0: {0: 0.9, 1: 0.1}, 1: {0: 0.5, 1: 0.5}}
+        mech = Mechanism(
+            input_desc=(0, 1),
+            output_desc=("finite", (0, 1)),
+            sample=lambda x, rng: DiscreteDistribution.from_mapping(laws[x]).sample(rng),
+            pmf=lambda x: DiscreteDistribution.from_mapping(laws[x]),
+        )
+        budget = PrivacyBudget(math.log(2.0), 0.1)
+        assert divergence_discrete(mech.pmf(0), mech.pmf(1), budget.eps).value <= budget.delta
+        ok, witness = check_dp_exact(mech, [(0, 1)], budget)
+        assert not ok
+        assert witness.direction == "reverse"
+        assert witness.event == (1,)
+        assert witness.gap == pytest.approx(0.2, abs=1e-12)
 
     def test_vacuous_on_empty_pairs(self):
         ok, witness = check_dp_exact(randomized_response(0.1), [], PrivacyBudget(0.0, 0.0))
@@ -517,6 +536,34 @@ class TestSamplerPmfConsistency:
             counts[index[y]] += 1
         expected = np.array(dist.probs) * n
         assert stats.chisquare(counts, expected).pvalue > 0.001
+
+
+class TestOneSamplingPath:
+    """Each built-in mechanism has one sampler, its block sampler; a single
+    draw is row 0 of a one-row block."""
+
+    MECHANISMS = {
+        "laplace": (
+            laplace_mechanism(
+                lambda d: [float(v) for v in d.counts], 2, SensitivitySpec(1.0, "declared"), 1.0
+            ),
+            Dataset((3, 1)),
+        ),
+        "randomized-response": (randomized_response(0.25), 1),
+        "rnm": (
+            rnm_mechanism(CountingQuerySet.from_json({"n": 2, "queries": [[0], [1], [0, 1]]}), 1.0),
+            Dataset((2, 1)),
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(MECHANISMS))
+    def test_sample_is_row_zero_of_a_one_row_block(self, kind):
+        mech, x = self.MECHANISMS[kind]
+        for seed in range(5):
+            single = mech.sample(x, RandomSource(seed))
+            assert single == mech.sample_block(x, RandomSource(seed), 1)[0].tolist()
+            # plain Python values, so reports encode them without numpy types
+            assert not isinstance(single, np.generic)
 
 
 class TestPostProcessingPreservesDp:

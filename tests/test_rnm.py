@@ -24,8 +24,6 @@ from dpcheck.rnm import (
     rnm_p_i,
     rnm_pmf,
     rnm_prob_exact,
-    rnm_sample,
-    rnm_sample_block,
     verify_max_adjacency,
     verify_rnm_dp_finer,
 )
@@ -116,38 +114,47 @@ class TestRnmSample:
         empty = CountingQuerySet(2, ())
         single = CountingQuerySet(2, (frozenset({0}),))
         for q in (empty, single):
-            assert rnm_sample(q, 1.0, Dataset((5, 3)), RandomSource(0)) == 0
-            assert (rnm_sample_block(q, 1.0, Dataset((5, 3)), RandomSource(0), 50) == 0).all()
+            mech = rnm_mechanism(q, 1.0)
+            assert mech.sample(Dataset((5, 3)), RandomSource(0)) == 0
+            assert (mech.sample_block(Dataset((5, 3)), RandomSource(0), 50) == 0).all()
 
     def test_parameter_error(self):
         q = CountingQuerySet(1, (frozenset({0}), frozenset({0})))
         with pytest.raises(ParameterError):
-            rnm_sample(q, 0.0, Dataset((1,)), RandomSource(0))
+            rnm_mechanism(q, 0.0)
 
     def test_dominant_score_wins_almost_always(self):
         q = CountingQuerySet(2, (frozenset({0}), frozenset({1})))
         data = Dataset((1_000_000, 0))
-        wins = rnm_sample_block(q, 1.0, data, RandomSource(5), 10_000)
+        wins = rnm_mechanism(q, 1.0).sample_block(data, RandomSource(5), 10_000)
         assert (wins == 0).mean() >= 0.999
 
     def test_symmetric_scores_are_balanced(self):
         q = CountingQuerySet(2, (frozenset({0}), frozenset({1})))
         data = Dataset((0, 0))
-        wins = rnm_sample_block(q, 1.0, data, RandomSource(6), 20_000)
+        wins = rnm_mechanism(q, 1.0).sample_block(data, RandomSource(6), 20_000)
         freq = (wins == 0).mean()
         assert abs(freq - 0.5) < 4 * math.sqrt(0.25 / 20_000)
 
     def test_each_sampling_path_is_deterministic(self):
-        # block draws per coordinate while scalar draws per sample, so the
-        # two paths need not agree with each other, only with themselves
         q = CountingQuerySet(2, (frozenset({0}), frozenset({1})))
         data = Dataset((2, 1))
-        block = rnm_sample_block(q, 1.0, data, RandomSource(9), 32)
-        assert (block == rnm_sample_block(q, 1.0, data, RandomSource(9), 32)).all()
+        mech = rnm_mechanism(q, 1.0)
+        block = mech.sample_block(data, RandomSource(9), 32)
+        assert (block == mech.sample_block(data, RandomSource(9), 32)).all()
         rng_a, rng_b = RandomSource(9), RandomSource(9)
-        singles_a = [rnm_sample(q, 1.0, data, rng_a) for _ in range(32)]
-        singles_b = [rnm_sample(q, 1.0, data, rng_b) for _ in range(32)]
+        singles_a = [mech.sample(data, rng_a) for _ in range(32)]
+        singles_b = [mech.sample(data, rng_b) for _ in range(32)]
         assert singles_a == singles_b
+
+    def test_block_noises_every_query_from_one_stream(self):
+        # one Laplace column per query, drawn in query order off the same rng
+        q = CountingQuerySet(2, (frozenset({0}), frozenset({1}), frozenset({0, 1})))
+        data = Dataset((2, 1))
+        rng = RandomSource(4)
+        cols = [laplace_sample_block(LaplaceDistribution(1.0, c), rng, 16) for c in (2, 1, 3)]
+        expected = [argmax_list(row) for row in np.column_stack(cols).tolist()]
+        assert rnm_mechanism(q, 1.0).sample_block(data, RandomSource(4), 16).tolist() == expected
 
 
 class TestRnmPi:
