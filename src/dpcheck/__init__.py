@@ -29,7 +29,6 @@ from .laplace import (
     laplace_cdf,
     laplace_interval_prob,
     laplace_pdf,
-    laplace_quantile,
     shift_law_check,
 )
 from .mechanisms import (

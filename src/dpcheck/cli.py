@@ -14,7 +14,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -27,27 +27,25 @@ from .datasets import (
 )
 from .divergence import (
     DiscreteDistribution,
-    coordinate_interval_events,
     divergence_discrete,
     divergence_laplace_pair,
     divergence_monte_carlo,
     divergence_report_json,
-    interval_events,
-    label_subset_events,
 )
 from .errors import ConfigError, DpcheckError
 from .laplace import LaplaceDistribution, RandomSource, laplace_sample_block
 from .mechanisms import (
     Mechanism,
-    _draw,
     PrivacyBudget,
     SensitivitySpec,
     add_budgets,
     check_dp_exact,
     check_dp_laplace,
     check_dp_statistical,
+    default_events,
     group_budget,
     jsonable,
+    label_array,
     laplace_mechanism,
     pair_compose,
     post_process,
@@ -89,10 +87,26 @@ class RunConfig:
     out: str | None = None
 
 
-def _require(cfg: dict, key: str, context: str):
-    if key not in cfg:
+def _typed(value, kind: type, what: str):
+    """value when it is a JSON object (kind dict) or list (kind list)."""
+    if not isinstance(value, kind):
+        name = "object" if kind is dict else "list"
+        raise ConfigError(f"{what} must be a JSON {name}, got {value!r}")
+    return value
+
+
+def _require(cfg: dict, key: str, context: str, kind: type | None = None):
+    """cfg[key], which must be present and, given ``kind``, of that JSON type."""
+    if key not in _typed(cfg, dict, context):
         raise ConfigError(f"{context}: missing required field {key!r}")
-    return cfg[key]
+    return cfg[key] if kind is None else _typed(cfg[key], kind, f"{context} field {key!r}")
+
+
+def _labels(values: list, what: str) -> list:
+    """Output labels from a config, which must be hashable JSON scalars."""
+    if any(isinstance(v, (list, dict)) for v in values):
+        raise ConfigError(f"{what} must be numbers or strings, got {values!r}")
+    return values
 
 
 def _number(value, what: str, kind: type = float):
@@ -109,23 +123,30 @@ def _number(value, what: str, kind: type = float):
 def _parse_queries(obj) -> CountingQuerySet:
     try:
         return CountingQuerySet.from_json(obj)
-    except DpcheckError as exc:
+    except (DpcheckError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad query set: {exc}") from exc
 
 
-def _parse_input(obj):
-    if isinstance(obj, dict) and "histogram" in obj:
-        return Dataset.from_json(obj)
+def _parse_input(obj, input_desc=None):
+    """A histogram, a path to a dataset file, or an int label.  Under an int
+    ``input_desc`` n, only a histogram of length n is accepted."""
+    value = obj
     if isinstance(obj, str):
-        # a path to a dataset JSON file
         try:
             with open(obj, "r", encoding="utf-8") as fh:
-                return Dataset.from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError, DpcheckError) as exc:
+                value = Dataset.from_json(json.load(fh))
+        except (OSError, TypeError, ValueError) as exc:
             raise ConfigError(f"cannot load dataset from {obj!r}: {exc}") from exc
-    if isinstance(obj, int):
-        return obj
-    raise ConfigError(f"cannot interpret input {obj!r}")
+    elif isinstance(obj, dict) and "histogram" in obj:
+        try:
+            value = Dataset.from_json(obj)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad histogram {obj['histogram']!r}: {exc}") from exc
+    elif not isinstance(obj, int):
+        raise ConfigError(f"cannot interpret input {obj!r}")
+    if isinstance(input_desc, int) and not (isinstance(value, Dataset) and value.n == input_desc):
+        raise ConfigError(f"input {obj!r} is not a histogram of length {input_desc}")
+    return value
 
 
 def build_mechanism(cfg: dict) -> Mechanism:
@@ -148,36 +169,45 @@ def build_mechanism(cfg: dict) -> Mechanism:
     if kind == "rnm":
         q = _parse_queries(_require(cfg, "queries", "rnm mechanism"))
         eps = _number(_require(cfg, "epsilon", "rnm mechanism"), "rnm mechanism epsilon")
-        return rnm_mechanism(q, eps, noise_mask=cfg.get("noise_mask"))
+        mask = cfg.get("noise_mask")
+        return rnm_mechanism(q, eps, None if mask is None else _typed(mask, list, "rnm noise_mask"))
     if kind == "randomized-response":
         flip_prob = _require(cfg, "flip_prob", "randomized response")
         return randomized_response(_number(flip_prob, "randomized response flip_prob"))
     if kind == "composed":
         op = _require(cfg, "op", "composed mechanism")
         if op == "pair":
-            components = _require(cfg, "components", "pair composition")
+            components = _require(cfg, "components", "pair composition", list)
             if len(components) != 2:
                 raise ConfigError("pair composition takes exactly two components")
             return pair_compose(build_mechanism(components[0]), build_mechanism(components[1]))
         if op == "post":
             base = build_mechanism(_require(cfg, "base", "post composition"))
-            mapping = _require(cfg, "map", "post composition")
+            mapping = _require(cfg, "map", "post composition", dict)
+            _labels(list(mapping.values()), "post composition map values")
             return post_process(base, lambda y: mapping[str(y)])
         raise ConfigError(f"unknown composition op {op!r}")
     raise ConfigError(f"unknown mechanism kind {kind!r}")
 
 
-def build_adjacency(cfg: dict) -> list[tuple]:
+def build_adjacency(cfg: dict, input_desc=None) -> list[tuple]:
+    """Adjacent input pairs, as histograms of length ``input_desc`` when it is an int."""
     kind = _require(cfg, "kind", "adjacency")
     if kind == "l1":
         n = _number(_require(cfg, "n", "l1 adjacency"), "l1 adjacency n", int)
+        if isinstance(input_desc, int) and n != input_desc:
+            raise ConfigError(f"l1 adjacency n={n} does not match the mechanism's n={input_desc}")
         max_entry = _require(cfg, "max_entry", "l1 adjacency")
         max_entry = _number(max_entry, "l1 adjacency max_entry", int)
         k = _number(cfg.get("k", 1), "l1 adjacency k", int)
         return pairs_within_distance(n, max_entry, k)
     if kind == "pairs":
-        items = _require(cfg, "items", "pair list")
-        return [(_parse_input(a), _parse_input(b)) for a, b in items]
+        pairs = []
+        for item in _require(cfg, "items", "pair list", list):
+            if not (isinstance(item, list) and len(item) == 2):
+                raise ConfigError(f"pair list item {item!r} is not a pair of inputs")
+            pairs.append((_parse_input(item[0], input_desc), _parse_input(item[1], input_desc)))
+        return pairs
     raise ConfigError(f"unknown adjacency kind {kind!r}")
 
 
@@ -203,7 +233,7 @@ def _dump(report: dict) -> str:
 def cmd_sample(run: RunConfig) -> tuple[int, str]:
     cfg = run.config
     mech = build_mechanism(_require(cfg, "mechanism", "sample"))
-    value = _parse_input(_require(cfg, "input", "sample"))
+    value = _parse_input(_require(cfg, "input", "sample"), mech.input_desc)
     rng = RandomSource(run.seed)
     header = {
         "command": "sample",
@@ -212,116 +242,72 @@ def cmd_sample(run: RunConfig) -> tuple[int, str]:
         "mechanism": cfg["mechanism"],
     }
     lines = [json.dumps(header, sort_keys=True)]
-    for output in _draw(mech, value, rng, run.samples):
+    for output in mech.sample_block(value, rng, run.samples):
         lines.append(json.dumps({"output": jsonable(output)}, sort_keys=True))
     return EXIT_PASS, "\n".join(lines) + "\n"
 
 
-def _dist_spec(obj: dict):
-    """Classify a distribution spec: ('discrete', dist) | ('laplace', d) | ('sampler', fn, shape)."""
+def _dist_spec(obj) -> tuple[str, Mechanism, Any]:
+    """(kind, mechanism, input) of a distribution spec.  A discrete spec is a
+    finite mechanism and a laplace spec a one-coordinate real vector, each
+    taking its exact law as its input."""
     kind = _require(obj, "kind", "distribution spec")
     if kind == "discrete":
-        probs = _require(obj, "probs", "discrete spec")
+        support = _labels(_require(obj, "support", "discrete spec", list), "discrete spec support")
+        probs = _require(obj, "probs", "discrete spec", list)
         dist = DiscreteDistribution(
-            tuple(_require(obj, "support", "discrete spec")),
-            tuple(_number(p, "discrete spec probs") for p in probs),
+            tuple(support), tuple(_number(p, "discrete spec probs") for p in probs)
         )
-        return ("discrete", dist)
+        labels = label_array(dist.support)
+        draw = lambda d, rng, n: labels[d.sample_index_block(rng, n)]
+        return kind, Mechanism(None, ("finite", dist.support), draw), dist
     if kind == "laplace":
         b = _number(_require(obj, "b", "laplace spec"), "laplace spec b")
-        return ("laplace", LaplaceDistribution(b, _number(obj.get("z", 0.0), "laplace spec z")))
+        d = LaplaceDistribution(b, _number(obj.get("z", 0.0), "laplace spec z"))
+        draw = lambda d, rng, n: laplace_sample_block(d, rng, n)[:, None]
+        return kind, Mechanism(None, ("real-vector", 1), draw), d
     if kind == "mechanism":
         mech = build_mechanism(_require(obj, "mechanism", "mechanism spec"))
-        value = _parse_input(_require(obj, "input", "mechanism spec"))
-        return ("mechanism", mech, value)
+        return kind, mech, _parse_input(_require(obj, "input", "mechanism spec"), mech.input_desc)
     raise ConfigError(f"unknown distribution kind {kind!r}")
-
-
-def _spec_sampler(spec, rng: RandomSource) -> tuple[Callable[[int], Any], str]:
-    """Sampler function plus its output shape tag: 'labels' | 'scalar' | 'vector'."""
-    if spec[0] == "discrete":
-        dist = spec[1]
-
-        def draw(n: int):
-            idx = dist.sample_index_block(rng, n)
-            return [dist.support[i] for i in idx]
-
-        return draw, "labels"
-    if spec[0] == "laplace":
-        d = spec[1]
-        return (lambda n: laplace_sample_block(d, rng, n)), "scalar"
-    mech, value = spec[1], spec[2]
-    kind = mech.output_desc[0]
-    if kind == "finite":
-        shape = "labels"
-    elif kind == "real-vector":
-        shape = "scalar" if mech.output_desc[1] == 1 else "vector"
-    else:
-        shape = "scalar"
-
-    def draw(n: int):
-        out = _draw(mech, value, rng, n)
-        if shape == "labels":
-            return out
-        if shape == "vector":
-            return np.asarray(out, dtype=float)
-        # one real per draw: the first coordinate of a block row or a composed pair
-        if isinstance(out, np.ndarray):
-            return out[:, 0]
-        return np.asarray([v[0] for v in out], dtype=float)
-
-    return draw, shape
-
-
-def _spec_labels(spec) -> tuple | None:
-    if spec[0] == "discrete":
-        return spec[1].support
-    if spec[0] == "mechanism" and spec[1].output_desc[0] == "finite":
-        return spec[1].output_desc[1]
-    return None
 
 
 def cmd_divergence(run: RunConfig) -> tuple[int, str]:
     cfg = run.config
     eps = _number(_require(cfg, "epsilon", "divergence"), "divergence epsilon")
-    lhs = _dist_spec(_require(cfg, "lhs", "divergence"))
-    rhs = _dist_spec(_require(cfg, "rhs", "divergence"))
+    # the input of a discrete or laplace spec is its law
+    (lkind, lmech, lx), (rkind, rmech, rx) = (
+        _dist_spec(_require(cfg, side, "divergence")) for side in ("lhs", "rhs")
+    )
     method = run.method
 
     if method == "auto":
-        if lhs[0] == "discrete" and rhs[0] == "discrete":
+        if lkind == rkind == "discrete":
             method = "exact"
-        elif lhs[0] == "laplace" and rhs[0] == "laplace" and lhs[1].b == rhs[1].b and lhs[1].b > 0:
+        elif lkind == rkind == "laplace" and lx.b == rx.b > 0:
             method = "quadrature"
         else:
             method = "monte-carlo"
 
     if method == "exact":
-        if lhs[0] != "discrete" or rhs[0] != "discrete":
+        if not lkind == rkind == "discrete":
             raise ConfigError("exact method needs two discrete specs")
-        result = divergence_discrete(lhs[1], rhs[1], eps)
+        result = divergence_discrete(lx, rx, eps)
     elif method == "quadrature":
-        if lhs[0] != "laplace" or rhs[0] != "laplace" or lhs[1].b != rhs[1].b:
+        if not lkind == rkind == "laplace" or lx.b != rx.b:
             raise ConfigError("quadrature method needs two laplace specs with a common scale")
-        result = divergence_laplace_pair(lhs[1].b, lhs[1].z, rhs[1].z, eps, run.tol)
+        result = divergence_laplace_pair(lx.b, lx.z, rx.z, eps, run.tol)
     elif method == "monte-carlo":
+        # the lhs's finite labels hold every event the forward divergence needs
+        ld, rd = lmech.output_desc, rmech.output_desc
+        if ld != rd and not ld[0] == rd[0] == "finite":
+            left, right = (ld[0], rd[0]) if ld[0] != rd[0] else (ld, rd)
+            raise ConfigError(f"incompatible spec pair: {left} vs {right}")
         rng = RandomSource(run.seed)
-        draw_mu, shape_mu = _spec_sampler(lhs, rng.fork(0))
-        draw_nu, shape_nu = _spec_sampler(rhs, rng.fork(1))
-        if shape_mu != shape_nu:
-            raise ConfigError(f"incompatible spec pair: {shape_mu} vs {shape_nu}")
-        xs, ys = draw_mu(run.samples), draw_nu(run.samples)
-        if shape_mu == "labels":
-            labels_mu = _spec_labels(lhs) or tuple(dict.fromkeys(list(xs) + list(ys)))
-            events = label_subset_events(labels_mu)
-        elif shape_mu == "vector":
-            if np.asarray(xs).shape[1] != np.asarray(ys).shape[1]:
-                raise ConfigError("incompatible spec pair: vector lengths differ")
-            events = coordinate_interval_events(np.vstack([xs, ys]))
-        else:
-            events = interval_events(np.concatenate([np.asarray(xs), np.asarray(ys)]))
+        xs = lmech.sample_block(lx, rng.fork(0), run.samples)
+        ys = rmech.sample_block(rx, rng.fork(1), run.samples)
         result = divergence_monte_carlo(
-            lambda n: xs, lambda n: ys, events, eps, run.samples, run.alpha
+            lambda n: xs, lambda n: ys, default_events(ld, xs, ys), eps, run.samples, run.alpha
         )
     else:
         raise ConfigError(f"unknown divergence method {method!r}")
@@ -338,7 +324,7 @@ def cmd_audit(run: RunConfig) -> tuple[int, str]:
     cfg = run.config
     mech = build_mechanism(_require(cfg, "mechanism", "audit"))
     budget = _parse_budget(_require(cfg, "budget", "audit"))
-    pairs = build_adjacency(_require(cfg, "adjacency", "audit"))
+    pairs = build_adjacency(_require(cfg, "adjacency", "audit"), mech.input_desc)
     method = run.method
     if method == "auto":
         if mech.pmf is not None:
@@ -409,6 +395,8 @@ def cmd_rnm_verify(run: RunConfig) -> tuple[int, str]:
     if run.tol <= 0:
         raise ConfigError("tolerance must be positive")
     wanted = cfg.get("families")
+    if wanted is not None:
+        _typed(wanted, list, "rnm-verify families")
 
     sections = []
     all_pass = True
@@ -444,7 +432,7 @@ def fold_budget_tree(node: dict) -> PrivacyBudget:
     if kind == "budget":
         return _parse_budget(node)
     if kind in ("seq", "adaptive"):
-        children = _require(node, "children", f"{kind} node")
+        children = _require(node, "children", f"{kind} node", list)
         if not children:
             raise ConfigError(f"{kind} node needs at least one child")
         total = fold_budget_tree(children[0])

@@ -84,9 +84,6 @@ class DiscreteDistribution:
         idx = np.searchsorted(cum, rng.uniform_block(n), side="left")
         return np.minimum(idx, len(self.support) - 1)
 
-    def sample(self, rng: RandomSource):
-        return self.support[int(self.sample_index_block(rng, 1)[0])]
-
 
 @dataclass(frozen=True)
 class DivergenceResult:
@@ -122,10 +119,6 @@ class DiscreteKernel:
     @cached_property
     def _index(self) -> dict:
         return dict(self.rows)
-
-    @property
-    def inputs(self) -> tuple:
-        return tuple(x for x, _ in self.rows)
 
     def __call__(self, x) -> DiscreteDistribution:
         try:

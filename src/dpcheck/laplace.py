@@ -82,19 +82,6 @@ def laplace_cdf(d: LaplaceDistribution, x: float) -> float:
     return 1.0 - math.exp(-(x - d.z) / d.b) / 2.0
 
 
-def laplace_quantile(d: LaplaceDistribution, p: float) -> float:
-    """Inverse CDF on (0, 1)."""
-    if d.is_point_mass:
-        raise DegenerateScaleError("quantile requires b > 0")
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must lie in (0, 1), got {p}")
-    if p == 0.5:
-        return d.z
-    if p < 0.5:
-        return d.z + d.b * math.log(2.0 * p)
-    return d.z - d.b * math.log(2.0 * (1.0 - p))
-
-
 def laplace_sample_block(d: LaplaceDistribution, rng: RandomSource, n: int) -> np.ndarray:
     """n draws: the inverse CDF of n seeded uniforms; a point mass repeats z
     and consumes no uniforms."""

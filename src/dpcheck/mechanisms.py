@@ -20,12 +20,10 @@ from .divergence import (
     DiscreteDistribution,
     DiscreteKernel,
     Event,
-    bind,
     coordinate_interval_events,
     divergence_laplace_pair,
     estimate_events,
     hockey_stick_witness,
-    interval_events,
     label_subset_events,
 )
 from .errors import (
@@ -92,42 +90,36 @@ class SensitivitySpec:
 
 @dataclass(frozen=True)
 class Mechanism:
-    """Randomized algorithm with optional exact accessors.
+    """Randomized algorithm given by its block sampler, with optional exact accessors.
 
     Fields:
-      input_desc:  histogram length (int) or a tuple of abstract input labels.
-      output_desc: ("finite", labels) | ("real-vector", m) | ("real",) | ("opaque",).
-      sample:      (input, RandomSource) -> output, one draw.
-      pmf:         input -> DiscreteDistribution, when outputs are finite and exact.
-      densities:   input -> per-coordinate LaplaceDistribution tuple, for
-                   additive-noise mechanisms with real outputs.
-      sample_block: optional vectorized sampler (input, rng, n) -> ndarray,
-                   one row per draw.  Built-in mechanisms implement their law
-                   only here and derive ``sample`` with ``single_draw``.
+      input_desc:   histogram length (int) or a tuple of abstract input labels.
+      output_desc:  ("finite", labels) | ("real-vector", m) | ("product", (desc1, desc2)).
+      sample_block: (input, RandomSource, n) -> ndarray with one row per draw:
+                    a label per row for finite outputs, m columns for a real
+                    vector, and for a product the first part's columns
+                    followed by the second's.  It is the mechanism's only
+                    sampler; ``sample`` is row 0 of a one-row block.
+      pmf:          input -> DiscreteDistribution, when outputs are finite and exact.
+      densities:    input -> per-coordinate LaplaceDistribution tuple, for
+                    additive-noise mechanisms with real outputs.
     """
 
     input_desc: Any
     output_desc: tuple
-    sample: Callable[[Any, RandomSource], Any]
+    sample_block: Callable[[Any, RandomSource, int], np.ndarray]
     pmf: Optional[Callable[[Any], DiscreteDistribution]] = None
     densities: Optional[Callable[[Any], tuple[LaplaceDistribution, ...]]] = None
-    sample_block: Optional[Callable[[Any, RandomSource, int], np.ndarray]] = None
+
+    def sample(self, x, rng: RandomSource):
+        """One draw: row 0 of a one-row block, as plain Python values."""
+        row = self.sample_block(x, rng, 1)[0]
+        return row.tolist() if isinstance(row, (np.ndarray, np.generic)) else row
 
 
-def single_draw(sample_block: Callable[[Any, RandomSource, int], np.ndarray]):
-    """The one-draw sampler of a block sampler: row 0 of a one-row block."""
-
-    def sample(x, rng: RandomSource):
-        return sample_block(x, rng, 1)[0].tolist()
-
-    return sample
-
-
-def _draw(mech: Mechanism, x, rng: RandomSource, n: int):
-    """n draws of mech at x: its block sampler if it has one, else n single draws."""
-    if mech.sample_block is not None:
-        return mech.sample_block(x, rng, n)
-    return [mech.sample(x, rng) for _ in range(n)]
+def label_array(labels: Sequence) -> np.ndarray:
+    """Labels as a 1-D object array, one entry per label (tuples stay whole)."""
+    return np.fromiter(labels, dtype=object, count=len(labels))
 
 
 def laplace_mechanism(
@@ -161,9 +153,8 @@ def laplace_mechanism(
     return Mechanism(
         input_desc=input_desc,
         output_desc=("real-vector", m),
-        sample=single_draw(sample_block),
-        densities=densities,
         sample_block=sample_block,
+        densities=densities,
     )
 
 
@@ -185,9 +176,8 @@ def randomized_response(flip_prob: float) -> Mechanism:
     return Mechanism(
         input_desc=(0, 1),
         output_desc=("finite", (0, 1)),
-        sample=single_draw(sample_block),
-        pmf=pmf,
         sample_block=sample_block,
+        pmf=pmf,
     )
 
 
@@ -326,16 +316,43 @@ class StatisticalAuditReport:
         }
 
 
-def _default_events(mech: Mechanism, xs, ys) -> list[Event]:
-    kind = mech.output_desc[0]
+def _width(desc: tuple) -> int:
+    """Columns that one output of this kind takes in a product block."""
+    if desc[0] == "product":
+        return sum(_width(part) for part in desc[1])
+    return desc[1] if desc[0] == "real-vector" else 1
+
+
+def default_events(desc: tuple, xs, ys) -> list[Event]:
+    """The statistical event family for outputs of kind ``desc``.
+
+    Finite outputs get label subsets and a real vector gets per-coordinate
+    intervals on the pooled draws xs and ys.  A product gets the union of
+    its parts' families, each applied to that part's columns: an event on
+    one part is an event on the whole output.
+    """
+    kind = desc[0]
     if kind == "finite":
-        return label_subset_events(mech.output_desc[1])
-    if kind not in ("real-vector", "real"):
-        raise UnsupportedError(f"no default event family for outputs of kind {kind!r}")
-    pooled = np.concatenate([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
+        return label_subset_events(desc[1])
     if kind == "real-vector":
+        pooled = np.concatenate([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
         return coordinate_interval_events(pooled)
-    return interval_events(pooled)
+    if kind != "product":
+        raise UnsupportedError(f"no default event family for outputs of kind {kind!r}")
+    events = []
+    start = 0
+    for i, part in enumerate(desc[1]):
+        cols = start if part[0] == "finite" else slice(start, start + _width(part))
+        start += _width(part)
+
+        def pick(v, cols=cols):
+            return np.asarray(v)[:, cols]
+
+        for ev in default_events(part, pick(xs), pick(ys)):
+            events.append(
+                Event(f"part {i}: {ev.label}", lambda v, ind=ev.indicator, pick=pick: ind(pick(v)))
+            )
+    return events
 
 
 def check_dp_statistical(
@@ -345,34 +362,30 @@ def check_dp_statistical(
     samples: int,
     alpha: float,
     rng: RandomSource,
-    events: Sequence[Event] | None = None,
 ) -> StatisticalAuditReport:
-    """Monte Carlo DP audit over adjacency pairs, both directions each."""
+    """Monte Carlo DP audit over adjacency pairs, both directions each, on the
+    default event family of the mechanism's outputs."""
     if samples < 1000:
         raise ParameterError("statistical audit needs samples >= 1000")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
-    drawn = []
-    for idx, (a, b) in enumerate(adj_pairs):
-        xs = _draw(mech, a, rng.fork(2 * idx), samples)
-        ys = _draw(mech, b, rng.fork(2 * idx + 1), samples)
-        drawn.append(((a, b), xs, ys))
-
-    witness = None
-    max_point = -math.inf
-    max_lower = -math.inf
-    tests = 0
     rows = []
-    for (pair, xs, ys) in drawn:
-        pair_events = events if events is not None else _default_events(mech, xs, ys)
+    tests = 0
+    for idx, (a, b) in enumerate(adj_pairs):
+        xs = mech.sample_block(a, rng.fork(2 * idx), samples)
+        ys = mech.sample_block(b, rng.fork(2 * idx + 1), samples)
+        pair_events = default_events(mech.output_desc, xs, ys)
         tests += 2 * len(pair_events)
-        rows.append((pair, xs, ys, pair_events))
+        rows.append(((a, b), xs, ys, pair_events))
 
     if tests == 0:
         return StatisticalAuditReport(
             VERDICT_NO_VIOLATION, alpha, samples, 0, 0.0, 0.0, 0.0, None
         )
 
+    witness = None
+    max_point = -math.inf
+    max_lower = -math.inf
     alpha_each = alpha / tests
     for pair, xs, ys, pair_events in rows:
         for direction, lhs, rhs in (("forward", xs, ys), ("reverse", ys, xs)):
@@ -407,77 +420,83 @@ def check_dp_statistical(
 # ---------------------------------------------------------------------------
 
 
+def _groups(block: np.ndarray) -> dict:
+    """Row indices of each distinct entry of a finite block, in order of first occurrence."""
+    rows: dict = {}
+    for i, y in enumerate(block.tolist()):
+        rows.setdefault(y, []).append(i)
+    return rows
+
+
 def post_process(mech: Mechanism, g) -> Mechanism:
-    """Apply a data-independent map or kernel to the mechanism's output.
+    """Apply a data-independent map or kernel to a finite mechanism's output.
 
     Exact pmfs push forward exactly; the privacy budget is unchanged by
     construction, which the property suite confirms on random instances.
+    A map is called once per label and a block is mapped through that
+    table; a kernel is an adaptive stage that ignores the input.
     """
-    kernel = g if isinstance(g, DiscreteKernel) else None
+    if mech.output_desc[0] != "finite":
+        raise UnsupportedError(f"post-processing needs finite outputs, not {mech.output_desc[0]!r}")
+    labels = mech.output_desc[1]
+    if isinstance(g, DiscreteKernel):
+        rows = [g(y) for y in labels]  # raises DomainError when partial
 
-    if mech.output_desc[0] == "finite":
-        labels = mech.output_desc[1]
-        out_labels: list = []
-        if kernel is not None:
-            for y in labels:
-                for z in kernel(y).support:  # raises DomainError when partial
-                    if z not in out_labels:
-                        out_labels.append(z)
-        else:
-            for y in labels:
-                try:
-                    z = g(y)
-                except KeyError as exc:
-                    raise DomainError(f"post-processing map undefined at {y!r}") from exc
-                if z not in out_labels:
-                    out_labels.append(z)
-        out_desc = ("finite", tuple(out_labels))
-    else:
-        out_desc = ("opaque",)
+        def draw(x, z, rng: RandomSource, n: int) -> np.ndarray:
+            return label_array(g(z).support)[g(z).sample_index_block(rng, n)]
 
-    def sample(x, rng: RandomSource):
-        y = mech.sample(x, rng)
-        if kernel is not None:
-            return kernel(y).sample(rng)
+        out_labels = tuple(dict.fromkeys(z for row in rows for z in row.support))
+        return adaptive_compose(mech, AdaptiveKernel(draw, out_labels, lambda x, z: g(z)))
+    images = []
+    for y in labels:
         try:
-            return g(y)
+            images.append(g(y))
         except KeyError as exc:
             raise DomainError(f"post-processing map undefined at {y!r}") from exc
+    image = dict(zip(labels, images))
+
+    def sample_block(x, rng: RandomSource, n: int) -> np.ndarray:
+        return label_array([image[y] for y in mech.sample_block(x, rng, n).tolist()])
 
     pmf = None
-    if mech.pmf is not None and out_desc[0] == "finite":
+    if mech.pmf is not None:
         base_pmf = mech.pmf
 
         def pmf(x) -> DiscreteDistribution:
             inner = base_pmf(x)
-            if kernel is not None:
-                return bind(inner, kernel)
             acc: dict = {}
             for y, p in zip(inner.support, inner.probs):
                 z = g(y)
                 acc[z] = acc.get(z, 0.0) + p
             return DiscreteDistribution.from_mapping(acc)
 
-    return Mechanism(mech.input_desc, out_desc, sample, pmf=pmf)
+    out_desc = ("finite", tuple(dict.fromkeys(images)))
+    return Mechanism(mech.input_desc, out_desc, sample_block, pmf=pmf)
 
 
 def pair_compose(m1: Mechanism, m2: Mechanism) -> Mechanism:
     """Run both mechanisms independently on the same input, output the pair.
 
-    Budgets add: the accountant charges (eps1 + eps2, delta1 + delta2).
+    Budgets add: the accountant charges (eps1 + eps2, delta1 + delta2).  A
+    block draws the first part's block, then the second's.  Two finite
+    parts give finite pair labels; any other pair is a product whose rows
+    hold the first part's columns followed by the second's.
     """
     if m1.input_desc is not None and m2.input_desc is not None:
         if m1.input_desc != m2.input_desc:
             raise DimensionError("pair composition requires a common input space")
+    finite = m1.output_desc[0] == m2.output_desc[0] == "finite"
 
-    def sample(x, rng: RandomSource):
-        y = m1.sample(x, rng)
-        z = m2.sample(x, rng)
-        return (y, z)
+    def sample_block(x, rng: RandomSource, n: int) -> np.ndarray:
+        first = m1.sample_block(x, rng, n)
+        second = m2.sample_block(x, rng, n)
+        if finite:
+            return np.fromiter(zip(first.tolist(), second.tolist()), dtype=object, count=n)
+        return np.column_stack([first.astype(object), second.astype(object)])
 
     pmf = None
-    out_desc = ("opaque",)
-    if m1.output_desc[0] == "finite" and m2.output_desc[0] == "finite":
+    out_desc = ("product", (m1.output_desc, m2.output_desc))
+    if finite:
         out_desc = (
             "finite",
             tuple((y, z) for y in m1.output_desc[1] for z in m2.output_desc[1]),
@@ -494,31 +513,38 @@ def pair_compose(m1: Mechanism, m2: Mechanism) -> Mechanism:
                 }
                 return DiscreteDistribution.from_mapping(acc)
 
-    return Mechanism(m1.input_desc or m2.input_desc, out_desc, sample, pmf=pmf)
+    return Mechanism(m1.input_desc or m2.input_desc, out_desc, sample_block, pmf=pmf)
 
 
 @dataclass(frozen=True)
 class AdaptiveKernel:
-    """Second stage of adaptive composition: sees the input and the first output."""
+    """Second stage of adaptive composition: ``sample_block(x, z, rng, n)``
+    draws n outputs in ``output_labels`` given the input x and first output z."""
 
-    sample: Callable[[Any, Any, RandomSource], Any]
+    sample_block: Callable[[Any, Any, RandomSource, int], np.ndarray]
+    output_labels: tuple
     pmf: Optional[Callable[[Any, Any], DiscreteDistribution]] = None
-    output_labels: Optional[tuple] = None
 
 
 def adaptive_compose(m1: Mechanism, k: AdaptiveKernel) -> Mechanism:
     """Feed the first mechanism's output into the kernel; budgets add.
 
-    The exact pmf, when available, is the mixture over intermediate
-    outcomes weighted by the first mechanism's law.
+    A block draws the first stage's block, groups its rows by intermediate
+    value in order of first occurrence, and draws each group's block from
+    the kernel.  The exact pmf, when available, is the mixture over
+    intermediate outcomes weighted by the first mechanism's law.
     """
+    kind = m1.output_desc[0]
+    if kind != "finite":
+        raise UnsupportedError(f"adaptive composition needs finite outputs, not {kind!r}")
 
-    def sample(x, rng: RandomSource):
-        z = m1.sample(x, rng)
-        return k.sample(x, z, rng)
+    def sample_block(x, rng: RandomSource, n: int) -> np.ndarray:
+        out = np.empty(n, dtype=object)
+        for z, at in _groups(m1.sample_block(x, rng, n)).items():
+            out[at] = k.sample_block(x, z, rng, len(at))
+        return out
 
     pmf = None
-    out_desc = ("finite", k.output_labels) if k.output_labels is not None else ("opaque",)
     if m1.pmf is not None and k.pmf is not None:
         pmf1, pmf_k = m1.pmf, k.pmf
 
@@ -533,7 +559,7 @@ def adaptive_compose(m1: Mechanism, k: AdaptiveKernel) -> Mechanism:
                     acc[y] = acc.get(y, 0.0) + pz * py
             return DiscreteDistribution.from_mapping(acc)
 
-    return Mechanism(m1.input_desc, out_desc, sample, pmf=pmf)
+    return Mechanism(m1.input_desc, ("finite", tuple(k.output_labels)), sample_block, pmf=pmf)
 
 
 def check_group_privacy(

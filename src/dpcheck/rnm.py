@@ -34,7 +34,7 @@ from .laplace import (
     laplace_pdf,
     laplace_sample_block,
 )
-from .mechanisms import Mechanism, single_draw
+from .mechanisms import Mechanism
 from .quadrature import integrate_piecewise
 
 NEG_INF = float("-inf")
@@ -136,7 +136,6 @@ def rnm_mechanism(
     return Mechanism(
         input_desc=q.n,
         output_desc=("finite", tuple(range(q.m))),
-        sample=single_draw(sample_block),
         sample_block=sample_block,
     )
 

@@ -37,7 +37,6 @@ from dpcheck.laplace import (
     laplace_cdf,
     laplace_interval_prob,
     laplace_pdf,
-    laplace_quantile,
     laplace_sample_block,
     shift_law_check,
 )
@@ -58,6 +57,7 @@ from dpcheck.mechanisms import (
 )
 from dpcheck.quadrature import integrate_piecewise
 from dpcheck.rnm import max_argmax, argmax_insert, rnm_pmf, verify_rnm_dp_finer
+from oracles import laplace_quantile
 
 NEG_INF = float("-inf")
 
@@ -257,7 +257,7 @@ def test_criterion_07_composition_theorems():
         p1, pa, pb = (float(v) for v in rng.uniform(0.05, 0.45, size=3))
         second = {0: randomized_response(pa), 1: randomized_response(pb)}
         kernel = AdaptiveKernel(
-            sample=lambda x, z, rng_, second=second: second[z].sample(x, rng_),
+            sample_block=lambda x, z, rng_, n, second=second: second[z].sample_block(x, rng_, n),
             pmf=lambda x, z, second=second: second[z].pmf(x),
             output_labels=(0, 1),
         )
@@ -278,7 +278,7 @@ def test_criterion_07_composition_theorems():
             0: DiscreteDistribution(labels, tuple(w0 / w0.sum())),
             1: DiscreteDistribution(labels, tuple(w1 / w1.sum())),
         }
-        mech = Mechanism((0, 1), ("finite", labels), lambda x, r: None, pmf=table.__getitem__)
+        mech = Mechanism((0, 1), ("finite", labels), lambda x, r, n: None, pmf=table.__getitem__)
         out_k = int(rng.integers(1, 4))
         kernel = DiscreteKernel.from_mapping(
             {
@@ -313,7 +313,10 @@ def _geometric_mechanism(eps: float, top: int) -> Mechanism:
                 masses[j] = (1 - alpha) / (1 + alpha) * alpha ** abs(j - x)
         return DiscreteDistribution.from_mapping(masses)
 
-    return Mechanism(1, ("finite", tuple(range(top + 1))), lambda d, r: pmf(d).sample(r), pmf=pmf)
+    def sample_block(d, rng, n):
+        return pmf(d).sample_index_block(rng, n)  # support order is 0..top
+
+    return Mechanism(1, ("finite", tuple(range(top + 1))), sample_block, pmf=pmf)
 
 
 def test_criterion_08_group_privacy():

@@ -154,8 +154,16 @@ class TestSample:
         [
             {"kind": "laplace", "queries": {"n": 2, "queries": [[0], [0, 1]]}, "epsilon": 1.0},
             {"kind": "rnm", "queries": {"n": 2, "queries": [[0], [1], [0, 1]]}, "epsilon": 1.0},
+            {
+                "kind": "composed",
+                "op": "pair",
+                "components": [
+                    {"kind": "laplace", "queries": {"n": 2, "queries": [[0]]}, "epsilon": 1.0},
+                    {"kind": "rnm", "queries": {"n": 2, "queries": [[0], [1]]}, "epsilon": 1.0},
+                ],
+            },
         ],
-        ids=["laplace-m2", "rnm"],
+        ids=["laplace-m2", "rnm", "pair"],
     )
     def test_rows_come_from_the_block_sampler(self, tmp_path, mechanism):
         # the sample command releases exactly what the statistical audit draws
@@ -480,3 +488,124 @@ class TestByteIdenticalReports:
         _, first = run_cli(tmp_path, "divergence", payload)
         _, second = run_cli(tmp_path, "divergence", payload)
         assert first == second
+
+
+def assert_one_line_config_error(tmp_path, capsys, command, payload, *extra):
+    code, text = run_cli(tmp_path, command, payload, *extra)
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert text == ""
+    return err
+
+
+DISCRETE = {"kind": "discrete", "support": [0, 1], "probs": [0.5, 0.5]}
+PAIR_RR = {"kind": "composed", "op": "pair", "components": [RR, RR]}
+POST_RR = {"kind": "composed", "op": "post", "base": RR, "map": {"0": "no", "1": "yes"}}
+LAPLACE_N2 = {"kind": "laplace", "queries": {"n": 2, "queries": [[0]]}, "epsilon": 1.0}
+DIVERGENCE = {"epsilon": 1.0, "lhs": DISCRETE, "rhs": DISCRETE}
+AUDIT_RR = {"mechanism": RR, "budget": {"epsilon": 1.0}, "adjacency": BIT_PAIR}
+
+
+class TestStructuralConfigErrors:
+    """A config field of the wrong JSON type exits 2 with a one-line message."""
+
+    @pytest.mark.parametrize(
+        "command,payload,path,value",
+        [
+            ("divergence", DIVERGENCE, "lhs.probs", 3),
+            ("divergence", DIVERGENCE, "lhs.support", 3),
+            ("divergence", DIVERGENCE, "rhs.support", [[0], [1]]),
+            ("divergence", DIVERGENCE, "lhs", 3),
+            ("sample", {"mechanism": RR, "input": 0}, "mechanism", [RR]),
+            ("sample", {"mechanism": LAPLACE_N2, "input": {"histogram": []}}, "input.histogram", 3),
+            ("sample", {"mechanism": LAPLACE_N2, "input": 0}, "mechanism.queries", 3),
+            ("sample", {"mechanism": PAIR_RR, "input": 0}, "mechanism.components", 3),
+            ("sample", {"mechanism": POST_RR, "input": 0}, "mechanism.map", ["no", "yes"]),
+            ("sample", {"mechanism": POST_RR, "input": 0}, "mechanism.map", {"0": [1], "1": 2}),
+            ("audit", AUDIT_RR, "adjacency.items", 3),
+            ("audit", AUDIT_RR, "adjacency.items", [[0]]),
+            ("audit", AUDIT_RR, "adjacency", "pairs"),
+            ("audit", AUDIT_RR, "budget", 1.0),
+            ("accountant", {"tree": {"kind": "seq", "children": []}}, "tree.children", 3),
+        ],
+        ids=[
+            "probs", "support", "support-labels", "spec", "mechanism", "histogram", "queries",
+            "components", "map", "map-values", "items", "item", "adjacency", "budget",
+            "children",
+        ],
+    )
+    def test_exits_2(self, tmp_path, capsys, command, payload, path, value):
+        assert_one_line_config_error(tmp_path, capsys, command, with_field(payload, path, value))
+
+
+class TestHistogramLength:
+    """A histogram whose length differs from the mechanism's n exits 2."""
+
+    def test_audit_pair_of_short_histograms(self, tmp_path, capsys):
+        payload = {
+            "mechanism": LAPLACE_N2,
+            "budget": {"epsilon": 1.0},
+            "adjacency": {"kind": "pairs", "items": [[{"histogram": [1]}, {"histogram": [0]}]]},
+        }
+        err = assert_one_line_config_error(tmp_path, capsys, "audit", payload)
+        assert "length 2" in err
+
+    def test_audit_l1_with_another_n(self, tmp_path, capsys):
+        payload = {
+            "mechanism": LAPLACE_N2,
+            "budget": {"epsilon": 1.0},
+            "adjacency": {"kind": "l1", "n": 3, "max_entry": 1},
+        }
+        assert_one_line_config_error(tmp_path, capsys, "audit", payload)
+
+    @pytest.mark.parametrize("value", [{"histogram": [1, 0, 0]}, 0])
+    def test_sample_input(self, tmp_path, capsys, value):
+        payload = {"mechanism": LAPLACE_N2, "input": value, "samples": 2}
+        assert_one_line_config_error(tmp_path, capsys, "sample", payload)
+
+    def test_mechanism_spec_input(self, tmp_path, capsys):
+        spec = {"kind": "mechanism", "mechanism": LAPLACE_N2, "input": {"histogram": [4]}}
+        payload = {"epsilon": 0.5, "samples": 2000, "lhs": spec, "rhs": spec}
+        assert_one_line_config_error(tmp_path, capsys, "divergence", payload)
+
+
+class TestComposedMechanisms:
+    """Pairs of non-finite parts are products: sampled in blocks, with the
+    union of their parts' events."""
+
+    LAPLACE_RNM = {
+        "kind": "composed",
+        "op": "pair",
+        "components": [
+            {"kind": "laplace", "queries": {"n": 2, "queries": [[0]]}, "epsilon": 0.1},
+            {"kind": "rnm", "queries": {"n": 2, "queries": [[0], [1]]}, "epsilon": 5.0},
+        ],
+    }
+
+    def test_monte_carlo_divergence_sees_every_part(self, tmp_path):
+        # the rnm part alone gives about 0.997 at eps 0.5; a first-part-only
+        # estimate reads 0.0
+        spec = lambda hist: {
+            "kind": "mechanism", "mechanism": self.LAPLACE_RNM, "input": {"histogram": hist}
+        }
+        payload = {"epsilon": 0.5, "samples": 2000, "lhs": spec([5, 0]), "rhs": spec([0, 5])}
+        code, text = run_cli(tmp_path, "divergence", payload)
+        report = json.loads(text)
+        assert code == EXIT_PASS
+        assert report["method"] == "monte-carlo"
+        assert report["value"] >= 0.9
+
+    @pytest.mark.parametrize("method", ["auto", "statistical"])
+    def test_pair_of_laplace_mechanisms_is_audited(self, tmp_path, method):
+        pair = {"kind": "composed", "op": "pair", "components": [LAPLACE_N2, LAPLACE_N2]}
+        items = [[{"histogram": [1, 0]}, {"histogram": [0, 0]}]]
+        payload = {
+            "mechanism": pair,
+            "budget": {"epsilon": 2.0},
+            "adjacency": {"kind": "pairs", "items": items},
+            "samples": 2000,
+        }
+        code, text = run_cli(tmp_path, "audit", payload, "--method", method)
+        assert code in (EXIT_PASS, EXIT_VIOLATION, EXIT_INCONCLUSIVE)
+        assert json.loads(text)["method"] == "statistical"

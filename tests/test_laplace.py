@@ -12,11 +12,11 @@ from dpcheck.laplace import (
     laplace_cdf,
     laplace_interval_prob,
     laplace_pdf,
-    laplace_quantile,
     laplace_sample_block,
     shift_law_check,
 )
 from dpcheck.quadrature import integrate_piecewise
+from oracles import laplace_quantile
 
 UNIT = LaplaceDistribution(1.0, 0.0)
 

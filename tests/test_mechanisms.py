@@ -26,12 +26,14 @@ from dpcheck.mechanisms import (
     check_dp_laplace,
     check_dp_statistical,
     check_group_privacy,
+    default_events,
     group_budget,
     laplace_mechanism,
     pair_compose,
     post_process,
     randomized_response,
     randomized_response_epsilon,
+    label_array,
     weaken_budget,
 )
 from dpcheck.rnm import rnm_mechanism
@@ -58,7 +60,7 @@ def geometric_mechanism(eps: float, top: int) -> Mechanism:
     return Mechanism(
         input_desc=1,
         output_desc=("finite", tuple(range(top + 1))),
-        sample=lambda d, rng: pmf(d).sample(rng),
+        sample_block=lambda d, rng, n: pmf(d).sample_index_block(rng, n),
         pmf=pmf,
     )
 
@@ -188,7 +190,9 @@ class TestCheckDpExact:
         mech = Mechanism(
             input_desc=(0, 1),
             output_desc=("finite", (0, 1)),
-            sample=lambda x, rng: DiscreteDistribution.from_mapping(laws[x]).sample(rng),
+            sample_block=lambda x, rng, n: np.asarray((0, 1))[
+                DiscreteDistribution.from_mapping(laws[x]).sample_index_block(rng, n)
+            ],
             pmf=lambda x: DiscreteDistribution.from_mapping(laws[x]),
         )
         budget = PrivacyBudget(math.log(2.0), 0.1)
@@ -204,7 +208,7 @@ class TestCheckDpExact:
         assert ok and witness is None
 
     def test_requires_pmf(self):
-        mech = Mechanism(None, ("real",), lambda x, rng: 0.0)
+        mech = Mechanism(None, ("real-vector", 1), lambda x, rng, n: np.zeros((n, 1)))
         with pytest.raises(UnsupportedError):
             check_dp_exact(mech, [(0, 1)], PrivacyBudget(1.0, 0.0))
 
@@ -289,7 +293,7 @@ class TestCheckDpStatistical:
         mech = Mechanism(
             input_desc=(0, 1),
             output_desc=("finite", ("c",)),
-            sample=lambda x, rng: "c",
+            sample_block=lambda x, rng, n: np.full(n, "c"),
             pmf=lambda x: DiscreteDistribution(("c",), (1.0,)),
         )
         report = check_dp_statistical(
@@ -323,7 +327,6 @@ class TestCheckDpStatistical:
         mech = Mechanism(
             input_desc=("a", "b"),
             output_desc=("finite", (0, 1)),
-            sample=lambda x, rng: 0,
             sample_block=lambda x, rng, n: fixed(counts[x])(x, rng, n),
         )
         report = check_dp_statistical(
@@ -352,7 +355,7 @@ class TestPostProcess:
         # vector-valued finite mechanism; post with the argmax of the tuple
         outputs = ((0, 1), (1, 0), (1, 1))
         pmf = lambda x: DiscreteDistribution(outputs, (0.2, 0.3, 0.5))
-        mech = Mechanism((0,), ("finite", outputs), lambda x, rng: None, pmf=pmf)
+        mech = Mechanism((0,), ("finite", outputs), lambda x, rng, n: None, pmf=pmf)
         post = post_process(mech, lambda y: max(range(2), key=lambda i: (y[i], i)))
         assert post.pmf(0).prob(1) == pytest.approx(0.2 + 0.5)
         assert post.pmf(0).prob(0) == pytest.approx(0.3)
@@ -367,6 +370,25 @@ class TestPostProcess:
         )
         post = post_process(mech, kernel)
         assert post.pmf(0).prob("a") == pytest.approx(0.75 * 0.5)
+
+    def test_non_finite_base_rejected(self):
+        laplace = laplace_mechanism(lambda d: [0.0], 1, SensitivitySpec(1.0, "declared"), 1.0)
+        with pytest.raises(UnsupportedError):
+            post_process(laplace, round)
+
+    def test_kernel_block_matches_pmf(self):
+        kernel = DiscreteKernel.from_mapping(
+            {
+                0: DiscreteDistribution(("a", "b"), (0.5, 0.5)),
+                1: DiscreteDistribution(("a", "b"), (0.1, 0.9)),
+            }
+        )
+        post = post_process(randomized_response(0.25), kernel)
+        n = 20_000
+        block = post.sample_block(0, RandomSource(3), n)
+        counts = [int(np.count_nonzero(block == z)) for z in ("a", "b")]
+        expected = [post.pmf(0).prob(z) * n for z in ("a", "b")]
+        assert stats.chisquare(counts, expected).pvalue > 0.001
 
     def test_partial_map_rejected(self):
         mech = randomized_response(0.25)
@@ -384,7 +406,9 @@ class TestPostProcess:
                 0: DiscreteDistribution(labels, tuple(w0 / w0.sum())),
                 1: DiscreteDistribution(labels, tuple(w1 / w1.sum())),
             }
-            mech = Mechanism((0, 1), ("finite", labels), lambda x, rng: None, pmf=table.__getitem__)
+            mech = Mechanism(
+                (0, 1), ("finite", labels), lambda x, rng, n: None, pmf=table.__getitem__
+            )
             out_k = int(rng.integers(1, 4))
             kernel = DiscreteKernel.from_mapping(
                 {
@@ -407,7 +431,7 @@ class TestPairCompose:
         pm = lambda label: Mechanism(
             (0,),
             ("finite", (label,)),
-            lambda x, rng: label,
+            lambda x, rng, n: label_array((label,) * n),
             pmf=lambda x, label=label: DiscreteDistribution((label,), (1.0,)),
         )
         pair = pair_compose(pm("a"), pm("b"))
@@ -431,7 +455,7 @@ class TestPairCompose:
 
     def test_input_space_mismatch(self):
         m1 = randomized_response(0.25)
-        m2 = Mechanism((0, 1, 2), ("finite", (0,)), lambda x, rng: 0)
+        m2 = Mechanism((0, 1, 2), ("finite", (0,)), lambda x, rng, n: np.zeros(n, dtype=int))
         with pytest.raises(DimensionError):
             pair_compose(m1, m2)
 
@@ -441,7 +465,7 @@ class TestAdaptiveCompose:
         m1 = randomized_response(0.25)
         m2 = randomized_response(0.1)
         kernel = AdaptiveKernel(
-            sample=lambda x, z, rng: m2.sample(x, rng),
+            sample_block=lambda x, z, rng, n: m2.sample_block(x, rng, n),
             pmf=lambda x, z: m2.pmf(x),
             output_labels=(0, 1),
         )
@@ -454,7 +478,7 @@ class TestAdaptiveCompose:
         m1 = randomized_response(0.25)
         second = {0: randomized_response(0.1), 1: randomized_response(0.4)}
         kernel = AdaptiveKernel(
-            sample=lambda x, z, rng: second[z].sample(x, rng),
+            sample_block=lambda x, z, rng, n: second[z].sample_block(x, rng, n),
             pmf=lambda x, z: second[z].pmf(x),
             output_labels=(0, 1),
         )
@@ -462,7 +486,7 @@ class TestAdaptiveCompose:
         exact = comp.pmf(0)
         rng = RandomSource(12)
         n = 100_000
-        draws = np.array([comp.sample(0, rng) for _ in range(n)])
+        draws = comp.sample_block(0, rng, n)
         counts = np.bincount(draws.astype(int), minlength=2)
         expected = np.array([exact.prob(0), exact.prob(1)]) * n
         assert stats.chisquare(counts, expected).pvalue > 0.001
@@ -471,7 +495,7 @@ class TestAdaptiveCompose:
         m1 = randomized_response(0.25)
         flip = lambda y: 1 - y
         kernel = AdaptiveKernel(
-            sample=lambda x, z, rng: flip(z),
+            sample_block=lambda x, z, rng, n: np.full(n, flip(z)),
             pmf=lambda x, z: DiscreteDistribution((flip(z),), (1.0,)),
             output_labels=(0, 1),
         )
@@ -486,7 +510,7 @@ class TestAdaptiveCompose:
         second = {0: randomized_response(0.2), 1: randomized_response(0.3)}
         eps2 = max(randomized_response_epsilon(p) for p in (0.2, 0.3))
         kernel = AdaptiveKernel(
-            sample=lambda x, z, rng: second[z].sample(x, rng),
+            sample_block=lambda x, z, rng, n: second[z].sample_block(x, rng, n),
             pmf=lambda x, z: second[z].pmf(x),
             output_labels=(0, 1),
         )
@@ -494,6 +518,13 @@ class TestAdaptiveCompose:
         total = math.log(3) + eps2
         ok, _ = check_dp_exact(comp, [(0, 1)], PrivacyBudget(total, 0.0))
         assert ok
+
+
+    def test_non_finite_first_stage_rejected(self):
+        laplace = laplace_mechanism(lambda d: [0.0], 1, SensitivitySpec(1.0, "declared"), 1.0)
+        kernel = AdaptiveKernel(lambda x, z, rng, n: np.zeros(n, dtype=int), output_labels=(0,))
+        with pytest.raises(UnsupportedError):
+            adaptive_compose(laplace, kernel)
 
 
 class TestGroupPrivacy:
@@ -528,7 +559,7 @@ class TestSamplerPmfConsistency:
         dist = pair.pmf(1)
         rng = RandomSource(100)
         n = 100_000
-        outcomes = [pair.sample(1, rng) for _ in range(n)]
+        outcomes = pair.sample_block(1, rng, n)
         labels = dist.support
         index = {y: i for i, y in enumerate(labels)}
         counts = np.zeros(len(labels))
@@ -564,6 +595,68 @@ class TestOneSamplingPath:
             assert single == mech.sample_block(x, RandomSource(seed), 1)[0].tolist()
             # plain Python values, so reports encode them without numpy types
             assert not isinstance(single, np.generic)
+
+    COMBINATORS = {
+        "pair-finite": (pair_compose(randomized_response(0.25), randomized_response(0.1)), 1),
+        "pair-product": (
+            pair_compose(MECHANISMS["laplace"][0], MECHANISMS["rnm"][0]),
+            Dataset((2, 1)),
+        ),
+        "post": (post_process(MECHANISMS["rnm"][0], ("a", "b", "c").__getitem__), Dataset((2, 1))),
+        "adaptive": (
+            adaptive_compose(
+                randomized_response(0.25),
+                AdaptiveKernel(
+                    sample_block=lambda x, z, rng, n: randomized_response(0.1 + 0.3 * z)
+                    .sample_block(x, rng, n),
+                    output_labels=(0, 1),
+                ),
+            ),
+            1,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(COMBINATORS))
+    def test_combinator_sample_is_row_zero_of_a_one_row_block(self, kind):
+        mech, x = self.COMBINATORS[kind]
+        for seed in range(5):
+            single = mech.sample(x, RandomSource(seed))
+            row = mech.sample_block(x, RandomSource(seed), 1)[0]
+            assert single == (row.tolist() if isinstance(row, np.ndarray) else row)
+            assert not isinstance(single, (np.generic, np.ndarray))
+
+    def test_product_block_holds_each_part_block_in_turn(self):
+        laplace, rnm = self.MECHANISMS["laplace"][0], self.MECHANISMS["rnm"][0]
+        pair = pair_compose(laplace, rnm)
+        assert pair.output_desc == ("product", (laplace.output_desc, rnm.output_desc))
+        rng = RandomSource(8)
+        first = laplace.sample_block(Dataset((2, 1)), rng, 50)
+        second = rnm.sample_block(Dataset((2, 1)), rng, 50)
+        block = pair.sample_block(Dataset((2, 1)), RandomSource(8), 50)
+        assert block.shape == (50, 3)
+        assert block[:, :2].astype(float).tolist() == first.tolist()
+        assert block[:, 2].tolist() == second.tolist()
+
+
+class TestDefaultEvents:
+    def test_product_events_apply_each_part_family_to_its_columns(self):
+        laplace = laplace_mechanism(lambda d: [0.0], 1, SensitivitySpec(1.0, "declared"), 1.0)
+        pair = pair_compose(laplace, randomized_response(0.25))
+        xs = pair.sample_block(0, RandomSource(1), 400)
+        ys = pair.sample_block(1, RandomSource(2), 400)
+        events = default_events(pair.output_desc, xs, ys)
+        real = default_events(laplace.output_desc, xs[:, :1], ys[:, :1])
+        labels = default_events(("finite", (0, 1)), xs[:, 1], ys[:, 1])
+        assert [ev.label for ev in events] == [f"part 0: {ev.label}" for ev in real] + [
+            f"part 1: {ev.label}" for ev in labels
+        ]
+        for ev, part in zip(events, real + labels):
+            cols = xs[:, :1] if ev.label.startswith("part 0") else xs[:, 1]
+            assert ev.indicator(xs).tolist() == part.indicator(cols).tolist()
+
+    def test_unknown_kind_has_no_family(self):
+        with pytest.raises(UnsupportedError):
+            default_events(("opaque",), [], [])
 
 
 class TestPostProcessingPreservesDp:
