@@ -37,11 +37,11 @@ def main():
     )
     pairs = pairs_within_distance(3, 2, 1)
 
-    ok, _ = check_dp_laplace(mech, pairs, PrivacyBudget(args.eps, 0.0))
-    print(f"laplace mechanism at eps={args.eps}: {'pass' if ok else 'VIOLATION'}")
+    report = check_dp_laplace(mech, pairs, PrivacyBudget(args.eps, 0.0))
+    print(f"laplace mechanism at eps={args.eps}: {report.verdict}")
 
-    ok, witness = check_dp_laplace(mech, pairs, PrivacyBudget(args.eps / 4, 0.0))
-    print(f"laplace mechanism at eps/4: {'pass' if ok else 'violation'}  witness={witness}")
+    report = check_dp_laplace(mech, pairs, PrivacyBudget(args.eps / 4, 0.0))
+    print(f"laplace mechanism at eps/4: {report.verdict}  witness={report.witness}")
 
     broken = rnm_mechanism(
         CountingQuerySet(3, (frozenset({0}), frozenset({1}), frozenset({2}))),

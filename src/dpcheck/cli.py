@@ -23,6 +23,7 @@ from .datasets import (
     Dataset,
     counting_query,
     counting_sensitivity_analytic,
+    is_json_int,
     pairs_within_distance,
 )
 from .divergence import (
@@ -110,14 +111,16 @@ def _labels(values: list, what: str) -> list:
 
 
 def _number(value, what: str, kind: type = float):
-    """A config value as a finite int or float; ConfigError otherwise."""
-    try:
-        number = kind(value)
-        if math.isfinite(number):
-            return number
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    """A config value that is a finite JSON number, as a float; for kind int
+    a JSON integer (an int that is no bool).  ConfigError otherwise."""
+    if is_json_int(value) or (kind is float and isinstance(value, float)):
+        try:
+            if math.isfinite(number := kind(value)):
+                return number
+        except OverflowError:  # an int beyond the float range
+            pass
+    noun = " and an integer" if kind is int else ""
+    raise ConfigError(f"{what} must be a finite number{noun}, got {value!r}")
 
 
 def _parse_queries(obj) -> CountingQuerySet:
@@ -142,7 +145,7 @@ def _parse_input(obj, input_desc=None):
             value = Dataset.from_json(obj)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad histogram {obj['histogram']!r}: {exc}") from exc
-    elif not isinstance(obj, int):
+    elif not is_json_int(obj):
         raise ConfigError(f"cannot interpret input {obj!r}")
     if isinstance(input_desc, int) and not (isinstance(value, Dataset) and value.n == input_desc):
         raise ConfigError(f"input {obj!r} is not a histogram of length {input_desc}")
@@ -334,23 +337,14 @@ def cmd_audit(run: RunConfig) -> tuple[int, str]:
         else:
             method = "statistical"
 
-    detail: dict[str, Any] = {}
-    witness_json = None
     if method == "exact":
-        ok, witness = check_dp_exact(mech, pairs, budget)
-        verdict = "pass" if ok else "violation"
-        witness_json = witness.to_json() if witness else None
+        report = check_dp_exact(mech, pairs, budget)
     elif method == "quadrature":
-        ok, witness = check_dp_laplace(mech, pairs, budget, tol=run.tol)
-        verdict = "pass" if ok else "violation"
-        witness_json = witness.to_json() if witness else None
+        report = check_dp_laplace(mech, pairs, budget, tol=run.tol)
     elif method == "statistical":
         report = check_dp_statistical(
             mech, pairs, budget, run.samples, run.alpha, RandomSource(run.seed)
         )
-        verdict = report.verdict
-        witness_json = report.witness.to_json() if report.witness else None
-        detail = report.to_json()
     else:
         raise ConfigError(f"unknown audit method {method!r}")
 
@@ -360,11 +354,9 @@ def cmd_audit(run: RunConfig) -> tuple[int, str]:
         "method": method,
         "budget": {"epsilon": budget.eps, "delta": budget.delta},
         "pairs": len(pairs),
-        "verdict": verdict,
-        "witness": witness_json,
-        "detail": detail,
+        **report.to_json(),
     }
-    return exit_code_for(verdict), _dump(report_obj)
+    return exit_code_for(report.verdict), _dump(report_obj)
 
 
 # Deterministic query-set families exercised by rnm-verify.  "identical"

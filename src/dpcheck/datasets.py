@@ -1,4 +1,4 @@
-"""Histogram datasets, the L1 metric, adjacency relations, and counting queries.
+"""Histogram datasets, their adjacent pairs, and counting queries.
 
 A dataset is a histogram: entry ``i`` counts the records of type ``i``.
 Two datasets are adjacent when their L1 distance is at most 1, i.e. one
@@ -11,9 +11,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, DimensionError, InfeasibleError, ValidationError
+from .errors import CapacityError, ValidationError
 
 DEFAULT_ENUMERATION_BUDGET = 200_000
+
+
+def is_json_int(value) -> bool:
+    """True for a JSON integer: a Python int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def nth_total(xs: Sequence, i: int, default=0):
@@ -30,9 +35,9 @@ class Dataset:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise ValidationError(f"histogram entries must be >= 0, got {counts}")
+        counts = tuple(self.counts)
+        if not all(is_json_int(c) and c >= 0 for c in counts):
+            raise ValidationError("histogram entries must be non-negative integers")
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -60,72 +65,6 @@ class Dataset:
 
 def _as_counts(xs) -> tuple[int, ...]:
     return xs.counts if isinstance(xs, Dataset) else tuple(xs)
-
-
-def dist_l1(xs, ys) -> int:
-    """L1 distance between two histograms of equal length."""
-    a, b = _as_counts(xs), _as_counts(ys)
-    if len(a) != len(b):
-        raise DimensionError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(abs(x - y) for x, y in zip(a, b))
-
-
-def is_adjacent(xs, ys, k: int = 1) -> bool:
-    """True iff the histograms are within L1 distance ``k``."""
-    if k < 0:
-        raise ValidationError("radius k must be >= 0")
-    return dist_l1(xs, ys) <= k
-
-
-@dataclass(frozen=True)
-class AdjacencyRelation:
-    """The symmetric relation {(D, D') : ||D - D'||_1 <= k} on length-n histograms."""
-
-    n: int
-    k: int = 1
-
-    def __post_init__(self):
-        if self.n < 0 or self.k < 0:
-            raise ValidationError("n and k must be >= 0")
-
-    def contains(self, xs, ys) -> bool:
-        a, b = _as_counts(xs), _as_counts(ys)
-        if len(a) != self.n or len(b) != self.n:
-            raise DimensionError(f"expected histograms of length {self.n}")
-        return dist_l1(a, b) <= self.k
-
-    def pairs(self, max_entry: int, budget: int = DEFAULT_ENUMERATION_BUDGET):
-        """All unordered pairs of the relation with entries <= max_entry."""
-        return pairs_within_distance(self.n, max_entry, self.k, budget=budget)
-
-
-def adjacency_chain(xs, ys, k: int) -> list[Dataset]:
-    """Stepwise path from ``xs`` to ``ys`` moving one unit of one coordinate at a time.
-
-    Witnesses that a pair at distance <= k lies in the k-th power of
-    1-adjacency.  Coordinates are adjusted left to right; the chain has at
-    most k+1 entries and consecutive entries are 1-adjacent.
-    """
-    a, b = _as_counts(xs), _as_counts(ys)
-    d = dist_l1(a, b)
-    if d > k:
-        raise InfeasibleError(f"distance {d} exceeds radius {k}; no chain exists")
-    chain = [Dataset(a)]
-    cur = list(a)
-    for i in range(len(cur)):
-        while cur[i] != b[i]:
-            cur[i] += 1 if b[i] > cur[i] else -1
-            chain.append(Dataset(tuple(cur)))
-    return chain
-
-
-def chain_is_valid(chain: Sequence[Dataset], xs, ys, k: int) -> bool:
-    """Does the chain witness that (xs, ys) lies in the k-th adjacency power?"""
-    if not chain or len(chain) > k + 1:
-        return False
-    if chain[0].counts != _as_counts(xs) or chain[-1].counts != _as_counts(ys):
-        return False
-    return all(dist_l1(a, b) <= 1 for a, b in zip(chain, chain[1:]))
 
 
 @dataclass(frozen=True)
@@ -157,7 +96,10 @@ class CountingQuerySet:
     def from_json(obj: dict) -> "CountingQuerySet":
         if not isinstance(obj, dict) or "n" not in obj or "queries" not in obj:
             raise ValidationError("query set JSON must be {'n': int, 'queries': [[indices], ...]}")
-        return CountingQuerySet(int(obj["n"]), tuple(frozenset(q) for q in obj["queries"]))
+        n, queries = obj["n"], [list(q) for q in obj["queries"]]
+        if not all(map(is_json_int, [n, *itertools.chain(*queries)])):
+            raise ValidationError("query set n and indices must be integers")
+        return CountingQuerySet(n, tuple(frozenset(q) for q in queries))
 
 
 def counting(q: CountingQuerySet, i: int, xs) -> int:
@@ -177,15 +119,6 @@ def enumerate_datasets(n: int, max_entry: int) -> Iterator[Dataset]:
     """All histograms of length n with entries in 0..max_entry."""
     for counts in itertools.product(range(max_entry + 1), repeat=n):
         yield Dataset(counts)
-
-
-def _neighbors_within(counts: tuple[int, ...], max_entry: int) -> Iterator[tuple[int, ...]]:
-    # single-coordinate +-1 moves staying inside the entry bound
-    for i, c in enumerate(counts):
-        if c + 1 <= max_entry:
-            yield counts[:i] + (c + 1,) + counts[i + 1 :]
-        if c - 1 >= 0:
-            yield counts[:i] + (c - 1,) + counts[i + 1 :]
 
 
 def pairs_within_distance(
@@ -216,28 +149,6 @@ def pairs_within_distance(
         for o in offsets
         if (b := datasets.get(tuple(x + dx for x, dx in zip(counts, o)))) is not None
     ]
-
-
-def counting_sensitivity_exhaustive(
-    q: CountingQuerySet, max_entry: int, budget: int = DEFAULT_ENUMERATION_BUDGET
-) -> int:
-    """Exhaustive L1 sensitivity of the query tuple over 1-adjacent pairs.
-
-    Enumerates every 1-adjacent pair with entries <= max_entry and returns
-    the largest L1 distance between the two query tuples.
-    """
-    total = (max_entry + 1) ** q.n
-    if total * (2 * q.n + 1) > budget:
-        raise CapacityError(
-            f"enumeration of {total} datasets with {2 * q.n} moves exceeds budget {budget}"
-        )
-    best = 0
-    for d in enumerate_datasets(q.n, max_entry):
-        qd = counting_query(q, d)
-        for other in _neighbors_within(d.counts, max_entry):
-            qo = counting_query(q, Dataset(other))
-            best = max(best, sum(abs(a - b) for a, b in zip(qd, qo)))
-    return best
 
 
 def counting_sensitivity_analytic(q: CountingQuerySet) -> int:

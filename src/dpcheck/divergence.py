@@ -9,7 +9,9 @@ over measurable events S.  On a finite space the supremum is attained by
 the set of outcomes with mu(y) > exp(eps) * nu(y), so it collapses to the
 hockey-stick sum of positive parts.  A mechanism is (eps, delta)-DP exactly
 when this divergence is at most delta in both directions across every
-adjacent input pair.
+adjacent input pair.  Brute-force checks of the divergence's structural
+laws (composability, transitivity, the explicit maximum over all events)
+are test oracles and live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import stats
 
-from .errors import (
-    CapacityError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-    PreconditionError,
-    ValidationError,
-)
+from .errors import DomainError, ParameterError, ValidationError
 # laplace_pdf and integrate_piecewise go unused here; bench/spans.py traces them by these names
 from .laplace import RandomSource, laplace_pdf  # noqa: F401
 from .quadrature import integrate_piecewise  # noqa: F401
@@ -127,16 +122,6 @@ class DiscreteKernel:
             raise DomainError(f"kernel has no row for input {x!r}") from None
 
 
-def bind(mu: DiscreteDistribution, kernel: DiscreteKernel) -> DiscreteDistribution:
-    """Pushforward mixture: (mu >> kernel)(y) = sum_x mu(x) * kernel(x)(y)."""
-    acc: dict = {}
-    for x, px in zip(mu.support, mu.probs):
-        row = kernel(x)
-        for y, py in zip(row.support, row.probs):
-            acc[y] = acc.get(y, 0.0) + px * py
-    return DiscreteDistribution.from_mapping(acc)
-
-
 def _aligned(mu: DiscreteDistribution, nu: DiscreteDistribution):
     """Common support (union, mu's order first) with zero-filled mass vectors."""
     labels = list(mu.support) + [y for y in nu.support if y not in mu._index]
@@ -165,30 +150,6 @@ def hockey_stick_witness(
     value = float(gaps[keep].sum()) if keep.any() else 0.0
     witness = tuple(label for label, k in zip(labels, keep) if k)
     return value, witness
-
-
-def _subset_gap_vector(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
-    """mu(S) - exp(eps) nu(S) for every subset S, indexed by bitmask."""
-    diffs = p - math.exp(eps) * q
-    sums = np.zeros(1)
-    for d in diffs:
-        sums = np.concatenate([sums, sums + d])
-    return sums
-
-
-def divergence_brute_force(
-    mu: DiscreteDistribution, nu: DiscreteDistribution, eps: float
-) -> DivergenceResult:
-    """Oracle form: explicit maximum over all 2^|support| events.
-
-    Must agree with divergence_discrete; kept as an independent route for
-    cross-checking the hockey-stick reduction.
-    """
-    labels, p, q = _aligned(mu, nu)
-    if len(labels) > 20:
-        raise CapacityError(f"brute force limited to 20 outcomes, got {len(labels)}")
-    sums = _subset_gap_vector(p, q, eps)
-    return DivergenceResult(float(max(sums.max(), 0.0)), METHOD_EXACT, 0.0)
 
 
 def divergence_laplace_pair(
@@ -362,81 +323,3 @@ def divergence_monte_carlo(
     # value + error_bound dominates the simultaneous upper confidence bound
     # for the family-restricted supremum
     return DivergenceResult(value, METHOD_MONTE_CARLO, max(0.0, best_upper - best_lower))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force checks of the structural laws used by the composition calculus.
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComposabilityReport:
-    holds: bool
-    preconditions_hold: bool
-    composed_divergence: float
-    bound: float
-    detail: str = ""
-
-
-def check_composability_brute_force(
-    mu: DiscreteDistribution,
-    nu: DiscreteDistribution,
-    f: DiscreteKernel,
-    g: DiscreteKernel,
-    eps1: float,
-    eps2: float,
-    delta1: float,
-    delta2: float,
-    slack: float = 1e-10,
-) -> ComposabilityReport:
-    """Check div(eps1+eps2, mu >> f, nu >> g) <= delta1 + delta2 by exact arithmetic.
-
-    First verifies the hypotheses div(eps1, mu, nu) <= delta1 and
-    div(eps2, f(x), g(x)) <= delta2 for every x; a failed hypothesis yields
-    a precondition report, not a counterexample.
-    """
-    for x in mu.support:
-        if x not in f._index or x not in g._index:
-            raise DimensionError(f"kernels must cover the support; missing row {x!r}")
-    pre_slack = 1e-12
-    d1 = divergence_discrete(mu, nu, eps1).value
-    if d1 > delta1 + pre_slack:
-        return ComposabilityReport(
-            False, False, float("nan"), delta1 + delta2,
-            f"hypothesis failed: div(eps1, mu, nu) = {d1} > {delta1}",
-        )
-    for x in mu.support:
-        d2 = divergence_discrete(f(x), g(x), eps2).value
-        if d2 > delta2 + pre_slack:
-            return ComposabilityReport(
-                False, False, float("nan"), delta1 + delta2,
-                f"hypothesis failed at input {x!r}: div(eps2, f(x), g(x)) = {d2} > {delta2}",
-            )
-    composed = divergence_discrete(bind(mu, f), bind(nu, g), eps1 + eps2).value
-    bound = delta1 + delta2
-    holds = composed <= bound + slack
-    detail = "" if holds else f"composed divergence {composed} exceeds {bound}"
-    return ComposabilityReport(holds, True, composed, bound, detail)
-
-
-def check_transitivity(
-    mu1: DiscreteDistribution,
-    mu2: DiscreteDistribution,
-    mu3: DiscreteDistribution,
-    eps1: float,
-    eps2: float,
-    slack: float = 1e-12,
-) -> bool:
-    """Check chaining of zero-divergence steps: div(eps1+eps2, mu1, mu3) <= 0.
-
-    Requires div(eps1, mu1, mu2) <= 0 and div(eps2, mu2, mu3) <= 0; raises
-    PreconditionError (skip, not failure) when the hypotheses do not hold.
-    """
-    pre_slack = 1e-14
-    d12 = divergence_discrete(mu1, mu2, eps1).value
-    d23 = divergence_discrete(mu2, mu3, eps2).value
-    if d12 > pre_slack or d23 > pre_slack:
-        raise PreconditionError(
-            f"transitivity hypotheses fail: div12 = {d12}, div23 = {d23}"
-        )
-    return divergence_discrete(mu1, mu3, eps1 + eps2).value <= slack

@@ -25,16 +25,8 @@ class CapacityError(DpcheckError, RuntimeError):
     """Exhaustive enumeration would exceed the declared budget."""
 
 
-class InfeasibleError(DpcheckError, ValueError):
-    """No witness exists under the stated precondition."""
-
-
 class DegenerateScaleError(DpcheckError, ValueError):
     """Operation requires a positive scale; distribution is a point mass."""
-
-
-class PreconditionError(DpcheckError, RuntimeError):
-    """A checked precondition does not hold; the check is skipped, not failed."""
 
 
 class UnsupportedError(DpcheckError, RuntimeError):

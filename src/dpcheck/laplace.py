@@ -9,7 +9,8 @@ For scale b > 0 and location z the density and CDF are
 A nonpositive scale degenerates to a point mass at z, so mechanism code
 never has to branch on the scale.  The one sampler, ``laplace_sample_block``,
 inverts the CDF on a block of seeded uniforms, which keeps runs exactly
-reproducible.
+reproducible.  Scalar reference forms (the quantile, interval
+probabilities, the shift law) are test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateScaleError, DomainError
+from .errors import DegenerateScaleError
 
 # Quadrature and grids truncate at z +- TAIL_HALF_WIDTH_SCALES * b; each
 # discarded tail carries mass exp(-40)/2 < 1e-17.
@@ -91,45 +92,3 @@ def laplace_sample_block(d: LaplaceDistribution, rng: RandomSource, n: int) -> n
     lower = d.z + d.b * np.log(2.0 * u)
     upper = d.z - d.b * np.log(2.0 * (1.0 - u))
     return np.where(u < 0.5, lower, upper)
-
-
-def laplace_interval_prob(d: LaplaceDistribution, lo: float, hi: float) -> float:
-    """Probability of the interval (lo, hi], i.e. cdf(hi) - cdf(lo).
-
-    One-sided intervals are evaluated in exponent space so that deep-tail
-    probabilities keep full relative accuracy instead of cancelling.
-    """
-    if lo > hi:
-        raise DomainError(f"interval bounds out of order: {lo} > {hi}")
-    if d.is_point_mass:
-        return laplace_cdf(d, hi) - laplace_cdf(d, lo)
-    if lo >= d.z:
-        # exp(-(lo-z)/b)/2 - exp(-(hi-z)/b)/2, factored to avoid cancellation
-        return -math.exp(-(lo - d.z) / d.b) * math.expm1(-(hi - lo) / d.b) / 2.0
-    if hi <= d.z:
-        return -math.exp((hi - d.z) / d.b) * math.expm1(-(hi - lo) / d.b) / 2.0
-    return laplace_cdf(d, hi) - laplace_cdf(d, lo)
-
-
-def shift_law_check(
-    b: float,
-    z: float,
-    tolerance: float,
-    grid_points: int = 1000,
-    half_width_scales: float = 20.0,
-) -> bool:
-    """Check that Laplace(b, z) equals z plus Laplace(b, 0) noise.
-
-    Compares F_{b,z}(t) against F_{b,0}(t - z) on a grid around z and
-    returns True iff the largest absolute difference is within tolerance.
-    """
-    if b <= 0:
-        raise DegenerateScaleError("shift law check requires b > 0")
-    shifted = LaplaceDistribution(b, z)
-    centered = LaplaceDistribution(b, 0.0)
-    lo, hi = z - half_width_scales * b, z + half_width_scales * b
-    worst = 0.0
-    for i in range(grid_points):
-        t = lo + (hi - lo) * i / (grid_points - 1)
-        worst = max(worst, abs(laplace_cdf(shifted, t) - laplace_cdf(centered, t - z)))
-    return worst <= tolerance

@@ -10,12 +10,12 @@ the caller, never inside them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .datasets import Dataset, adjacency_chain, chain_is_valid, pairs_within_distance
+from .datasets import Dataset
 from .divergence import (
     DiscreteDistribution,
     DiscreteKernel,
@@ -30,12 +30,12 @@ from .errors import (
     DimensionError,
     DomainError,
     ParameterError,
-    PreconditionError,
     UnsupportedError,
     ValidationError,
 )
 from .laplace import LaplaceDistribution, RandomSource, laplace_sample_block
 
+VERDICT_PASS = "pass"
 VERDICT_NO_VIOLATION = "no-violation-found"
 VERDICT_VIOLATION = "violation"
 VERDICT_INCONCLUSIVE = "inconclusive"
@@ -181,13 +181,6 @@ def randomized_response(flip_prob: float) -> Mechanism:
     )
 
 
-def randomized_response_epsilon(flip_prob: float) -> float:
-    """The exact pure-DP level of randomized response with this flip probability."""
-    if not 0.0 < flip_prob < 0.5:
-        raise ParameterError("flip probability must lie in (0, 0.5)")
-    return math.log((1.0 - flip_prob) / flip_prob)
-
-
 # ---------------------------------------------------------------------------
 # DP checks
 # ---------------------------------------------------------------------------
@@ -227,17 +220,50 @@ def jsonable(x):
     return repr(x)
 
 
+@dataclass(frozen=True)
+class AuditReport:
+    """Outcome of a DP audit on any of the three routes.
+
+    The exact and closed-form Laplace routes certify: "pass" or
+    "violation".  The statistical route can only refute.  Its verdict is
+    "violation" only when a Bonferroni-corrected Clopper-Pearson lower bound
+    exceeds delta, i.e. with confidence at least 1 - alpha.
+    "no-violation-found" never certifies privacy: the event family is
+    restricted.  "inconclusive" flags point estimates beyond delta plus half
+    the audit's resolution that fail significance.  Only the statistical
+    route sets ``alpha`` and the numbers after it.
+    """
+
+    verdict: str
+    witness: DpWitness | None = None
+    alpha: float | None = None
+    samples: int = 0
+    tests: int = 0
+    resolution: float = 0.0
+    max_point: float = 0.0
+    max_lower: float = 0.0
+
+    def to_json(self) -> dict:
+        """The report's verdict, witness and detail fields; the statistical
+        route's detail repeats every field, the other routes' is empty."""
+        witness = None if self.witness is None else self.witness.to_json()
+        detail = {}
+        if self.alpha is not None:
+            detail = {f.name: getattr(self, f.name) for f in fields(self)} | {"witness": witness}
+        return {"verdict": self.verdict, "witness": witness, "detail": detail}
+
+
 def check_dp_exact(
     mech: Mechanism,
     adj_pairs: Sequence[tuple],
     budget: PrivacyBudget,
     slack: float = 1e-9,
-) -> tuple[bool, DpWitness | None]:
+) -> AuditReport:
     """Exact DP check through the divergence, in both directions per pair.
 
     Adjacency need not be symmetric, so each listed pair is checked forward
-    and reverse.  Returns the first violation as a (pair, event, gap)
-    witness.  Vacuously true when no pairs are given.
+    and reverse.  Reports the first violation as a (pair, event, gap)
+    witness.  Vacuously "pass" when no pairs are given.
     """
     if mech.pmf is None:
         raise UnsupportedError("mechanism has no exact pmf; use check_dp_statistical")
@@ -246,8 +272,9 @@ def check_dp_exact(
         for direction, lhs, rhs in (("forward", mu, nu), ("reverse", nu, mu)):
             value, event = hockey_stick_witness(lhs, rhs, budget.eps)
             if value > budget.delta + slack:
-                return False, DpWitness((a, b), direction, event, value - budget.delta)
-    return True, None
+                witness = DpWitness((a, b), direction, event, value - budget.delta)
+                return AuditReport(VERDICT_VIOLATION, witness)
+    return AuditReport(VERDICT_PASS)
 
 
 def check_dp_laplace(
@@ -255,7 +282,7 @@ def check_dp_laplace(
     adj_pairs: Sequence[tuple],
     budget: PrivacyBudget,
     tol: float = 1e-9,
-) -> tuple[bool, DpWitness | None]:
+) -> AuditReport:
     """Closed-form DP check for additive-Laplace mechanisms, per coordinate.
 
     Each output coordinate is a shifted Laplace law, so the coordinate
@@ -276,44 +303,9 @@ def check_dp_laplace(
             for direction, x, y in (("forward", la.z, lb.z), ("reverse", lb.z, la.z)):
                 value = divergence_laplace_pair(la.b, x, y, budget.eps, tol).value
                 if value > budget.delta + tol:
-                    return False, DpWitness(
-                        (a, b), direction, ("coordinate", j), value - budget.delta
-                    )
-    return True, None
-
-
-@dataclass(frozen=True)
-class StatisticalAuditReport:
-    """Outcome of a sampling-based DP audit.
-
-    The verdict is "violation" only when a Bonferroni-corrected
-    Clopper-Pearson lower bound exceeds delta, i.e. with confidence at
-    least 1 - alpha.  "no-violation-found" never certifies privacy: the
-    event family is restricted.  "inconclusive" flags point estimates
-    beyond delta plus half the audit's resolution that fail significance,
-    i.e. suggestive exceedances the sample budget cannot settle.
-    """
-
-    verdict: str
-    alpha: float
-    samples: int
-    tests: int
-    resolution: float
-    max_point: float
-    max_lower: float
-    witness: DpWitness | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "alpha": self.alpha,
-            "samples": self.samples,
-            "tests": self.tests,
-            "resolution": self.resolution,
-            "max_point": self.max_point,
-            "max_lower": self.max_lower,
-            "witness": None if self.witness is None else self.witness.to_json(),
-        }
+                    witness = DpWitness((a, b), direction, ("coordinate", j), value - budget.delta)
+                    return AuditReport(VERDICT_VIOLATION, witness)
+    return AuditReport(VERDICT_PASS)
 
 
 def _width(desc: tuple) -> int:
@@ -362,7 +354,7 @@ def check_dp_statistical(
     samples: int,
     alpha: float,
     rng: RandomSource,
-) -> StatisticalAuditReport:
+) -> AuditReport:
     """Monte Carlo DP audit over adjacency pairs, both directions each, on the
     default event family of the mechanism's outputs."""
     if samples < 1000:
@@ -379,9 +371,7 @@ def check_dp_statistical(
         rows.append(((a, b), xs, ys, pair_events))
 
     if tests == 0:
-        return StatisticalAuditReport(
-            VERDICT_NO_VIOLATION, alpha, samples, 0, 0.0, 0.0, 0.0, None
-        )
+        return AuditReport(VERDICT_NO_VIOLATION, alpha=alpha, samples=samples)
 
     witness = None
     max_point = -math.inf
@@ -410,9 +400,7 @@ def check_dp_statistical(
         verdict = VERDICT_NO_VIOLATION
     else:
         verdict = VERDICT_INCONCLUSIVE
-    return StatisticalAuditReport(
-        verdict, alpha, samples, tests, resolution, max_point, max_lower, witness
-    )
+    return AuditReport(verdict, witness, alpha, samples, tests, resolution, max_point, max_lower)
 
 
 # ---------------------------------------------------------------------------
@@ -560,38 +548,3 @@ def adaptive_compose(m1: Mechanism, k: AdaptiveKernel) -> Mechanism:
             return DiscreteDistribution.from_mapping(acc)
 
     return Mechanism(m1.input_desc, ("finite", tuple(k.output_labels)), sample_block, pmf=pmf)
-
-
-def check_group_privacy(
-    mech: Mechanism,
-    eps: float,
-    k: int,
-    max_entry: int,
-    slack: float = 1e-10,
-    enumeration_budget: int = 200_000,
-) -> tuple[bool, DpWitness | None]:
-    """Check the radius-k guarantee (k * eps, 0) over enumerated histogram pairs.
-
-    First requires the mechanism to pass the exact (eps, 0) check on
-    1-adjacency (PreconditionError otherwise), then checks every pair at
-    distance <= k against exp(k * eps) in both directions and confirms a
-    stepwise adjacency chain exists for each such pair.
-    """
-    if mech.pmf is None:
-        raise UnsupportedError("group-privacy check needs an exact pmf")
-    if not isinstance(mech.input_desc, int):
-        raise UnsupportedError("group-privacy check needs a histogram input space")
-    n = mech.input_desc
-    base_pairs = pairs_within_distance(n, max_entry, 1, budget=enumeration_budget)
-    ok, wit = check_dp_exact(mech, base_pairs, PrivacyBudget(eps, 0.0))
-    if not ok:
-        raise PreconditionError(f"mechanism is not (eps, 0)-DP on 1-adjacency: {wit}")
-    group = PrivacyBudget(k * eps, 0.0)
-    for a, b in pairs_within_distance(n, max_entry, k, budget=enumeration_budget):
-        chain = adjacency_chain(a, b, k)
-        if not chain_is_valid(chain, a, b, k):
-            return False, DpWitness((a, b), "forward", ("chain", len(chain)), math.inf)
-        ok, wit = check_dp_exact(mech, [(a, b)], group, slack=slack)
-        if not ok:
-            return False, wit
-    return True, None

@@ -1,12 +1,13 @@
-"""Report noisy max over counting queries: exact argmax machinery, the
-mechanism and its vectorized sampler, an analytic probability evaluator, and
-verification of its privacy bounds.
+"""Report noisy max over counting queries: the mechanism and its vectorized
+sampler, a quadrature evaluator of winning probabilities, and verification
+of its privacy bound.
 
-The argmax follows the recursive evaluation used throughout: the maximum of
-the empty list is -inf with index 0, and a strictly greater head takes
-index 0 while an equal head defers to the tail.  Ties therefore resolve to
-the LAST maximal position.  Noise makes ties measure-zero, so all
-probability statements are tie-insensitive.
+Ties resolve to the LAST maximal position, the convention of the recursive
+argmax (a strictly greater head takes index 0, an equal head defers to the
+tail).  Noise makes ties measure-zero, so all probability statements are
+tie-insensitive.  The recursive argmax and argmax-insert machinery, the
+scalar winning probability of one position and the max-adjacency lemma are
+test oracles in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import CountingQuerySet, Dataset, counting_query, pairs_within_distance
-from .errors import (
-    CapacityError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-    PreconditionError,
-)
+from .errors import CapacityError, DimensionError, DomainError, ParameterError
 from .laplace import (
     TAIL_HALF_WIDTH_SCALES,
     LaplaceDistribution,
@@ -37,63 +32,9 @@ from .laplace import (
 from .mechanisms import Mechanism
 from .quadrature import integrate_piecewise
 
-NEG_INF = float("-inf")
-
 # Probability ratios shrink in accuracy as min(p, p') does; rows below this
 # floor are flagged so reports can call out potentially unstable ratios.
 RATIO_STABILITY_FLOOR = 1e-6
-
-
-def max_argmax(xs: Sequence[float]) -> tuple[float, int]:
-    """Value and index of the maximum; ([] -> (-inf, 0), ties -> last index)."""
-    result = (NEG_INF, 0)
-    for x in reversed(list(xs)):
-        m, i = result
-        result = (x, 0) if x > m else (m, i + 1)
-    return result
-
-
-def argmax_list(xs: Sequence[float]) -> int:
-    return max_argmax(xs)[1]
-
-
-def list_insert(k: float, ks: Sequence[float], i: int) -> list[float]:
-    """Insert k at position i (0 <= i <= len)."""
-    ks = list(ks)
-    if not 0 <= i <= len(ks):
-        raise IndexError(f"insert position {i} out of range for length {len(ks)}")
-    return ks[:i] + [k] + ks[i:]
-
-
-def argmax_insert(k: float, ks: Sequence[float], i: int) -> int:
-    """Argmax of the list obtained by inserting k at position i.
-
-    Equals i exactly when k reaches the running maximum and differs from
-    the maximum of the suffix ks[i:].
-    """
-    return argmax_list(list_insert(k, ks, i))
-
-
-@dataclass(frozen=True)
-class NoiseAssignment:
-    """Concrete noise values, optionally with a hole left for one coordinate."""
-
-    values: tuple[float, ...]
-    hole: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if self.hole is not None and not 0 <= self.hole < len(self.values) + 1:
-            raise IndexError(f"hole {self.hole} out of range for full length {len(self.values) + 1}")
-
-    @property
-    def full_length(self) -> int:
-        return len(self.values) + (1 if self.hole is not None else 0)
-
-    def filled(self, r: float) -> list[float]:
-        if self.hole is None:
-            raise DomainError("no hole to fill")
-        return list_insert(r, self.values, self.hole)
 
 
 def _argmax_last_rows(matrix: np.ndarray) -> np.ndarray:
@@ -140,29 +81,6 @@ def rnm_mechanism(
     )
 
 
-def rnm_p_i(
-    c_i: float,
-    other_scores: Sequence[float],
-    other_noises: Sequence[float] | NoiseAssignment,
-    eps: float,
-) -> float:
-    """Probability over the remaining noise draw that position i wins.
-
-    With the other noisy scores fixed at c_j + r_j and their maximum M,
-    this is P[c_i + r >= M] = 1 - F(M - c_i) for r ~ Lap(1/eps), which
-    matches the argmax-insert event up to ties of measure zero.
-    """
-    if eps <= 0:
-        raise ParameterError("rnm_p_i requires eps > 0")
-    noises = other_noises.values if isinstance(other_noises, NoiseAssignment) else other_noises
-    if len(other_scores) != len(noises):
-        raise DimensionError("scores and noises must have equal length")
-    m_other, _ = max_argmax([c + r for c, r in zip(other_scores, noises)])
-    if m_other == NEG_INF:
-        return 1.0
-    return 1.0 - laplace_cdf(LaplaceDistribution(1.0 / eps, 0.0), m_other - c_i)
-
-
 def rnm_prob_exact(c: Sequence[float], eps: float, i: int, tol: float = 1e-9) -> float:
     """P[argmax of (c + Lap(1/eps)^m) = i] by single-integral quadrature.
 
@@ -206,23 +124,6 @@ def rnm_prob_exact(c: Sequence[float], eps: float, i: int, tol: float = 1e-9) ->
 def rnm_pmf(c: Sequence[float], eps: float, tol: float = 1e-9) -> list[float]:
     """All m winning probabilities; sums to 1 within m * tol."""
     return [rnm_prob_exact(c, eps, i, tol) for i in range(len(c))]
-
-
-def verify_max_adjacency(
-    xs: Sequence[float], ys: Sequence[float], rs: Sequence[float]
-) -> bool:
-    """Check that noisy maxima move by at most one under dominated shifts.
-
-    Requires componentwise ys <= xs <= ys + 1 (PreconditionError otherwise)
-    and asserts max(xs + rs) lies in [max(ys + rs), max(ys + rs) + 1].
-    """
-    if not len(xs) == len(ys) == len(rs):
-        raise DimensionError("xs, ys, rs must have equal length")
-    if not all(y <= x <= y + 1 for x, y in zip(xs, ys)):
-        raise PreconditionError("componentwise ys <= xs <= ys + 1 does not hold")
-    d, _ = max_argmax([x + r for x, r in zip(xs, rs)])
-    d_adj, _ = max_argmax([y + r for y, r in zip(ys, rs)])
-    return d >= d_adj and d <= d_adj + 1
 
 
 # ---------------------------------------------------------------------------

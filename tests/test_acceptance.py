@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS line per
 criterion.  Every expected value here is either computed by an independent
-oracle inside the test (brute force, Riemann sums, Monte Carlo) or is a
-closed-form constant.
+oracle, inside the test or in ``oracles.py`` (brute force, Riemann sums,
+Monte Carlo), or is a closed-form constant.
 """
 
 import itertools
@@ -16,8 +16,6 @@ import pytest
 from dpcheck.cli import main
 from dpcheck.datasets import (
     CountingQuerySet,
-    adjacency_chain,
-    chain_is_valid,
     counting_query,
     counting_sensitivity_analytic,
     pairs_within_distance,
@@ -25,9 +23,6 @@ from dpcheck.datasets import (
 from dpcheck.divergence import (
     DiscreteDistribution,
     DiscreteKernel,
-    check_composability_brute_force,
-    check_transitivity,
-    divergence_brute_force,
     divergence_discrete,
     divergence_laplace_pair,
 )
@@ -35,10 +30,8 @@ from dpcheck.laplace import (
     LaplaceDistribution,
     RandomSource,
     laplace_cdf,
-    laplace_interval_prob,
     laplace_pdf,
     laplace_sample_block,
-    shift_law_check,
 )
 from dpcheck.mechanisms import (
     AdaptiveKernel,
@@ -48,16 +41,27 @@ from dpcheck.mechanisms import (
     adaptive_compose,
     check_dp_exact,
     check_dp_laplace,
-    check_group_privacy,
     laplace_mechanism,
     pair_compose,
     post_process,
     randomized_response,
-    randomized_response_epsilon,
 )
 from dpcheck.quadrature import integrate_piecewise
-from dpcheck.rnm import max_argmax, argmax_insert, rnm_pmf, verify_rnm_dp_finer
-from oracles import laplace_quantile
+from dpcheck.rnm import rnm_pmf, verify_rnm_dp_finer
+from oracles import (
+    adjacency_chain,
+    argmax_insert,
+    chain_is_valid,
+    check_composability_brute_force,
+    check_group_privacy,
+    check_transitivity,
+    divergence_brute_force,
+    laplace_interval_prob,
+    laplace_quantile,
+    max_argmax,
+    randomized_response_epsilon,
+    shift_law_check,
+)
 
 NEG_INF = float("-inf")
 
@@ -232,12 +236,12 @@ def test_criterion_06_laplace_mechanism_desk_scale():
     for q in query_sets:
         for eps in (0.5, 1.0, 2.0):
             mech = _counting_laplace(q, eps)
-            ok, witness = check_dp_laplace(mech, pairs, PrivacyBudget(eps, 0.0))
-            assert ok, f"{q.to_json()} at eps={eps}: {witness}"
-            ok, witness = check_dp_laplace(mech, pairs, PrivacyBudget(eps / 4, 0.0))
-            assert not ok and witness is not None
-            assert witness.gap > 0.0
-            assert witness.event[0] == "coordinate"
+            report = check_dp_laplace(mech, pairs, PrivacyBudget(eps, 0.0))
+            assert report.verdict == "pass", f"{q.to_json()} at eps={eps}: {report.witness}"
+            report = check_dp_laplace(mech, pairs, PrivacyBudget(eps / 4, 0.0))
+            assert report.verdict == "violation" and report.witness is not None
+            assert report.witness.gap > 0.0
+            assert report.witness.event[0] == "coordinate"
     _report(6, "laplace mechanism passes at declared eps, fails at eps/4")
 
 
@@ -249,8 +253,8 @@ def test_criterion_07_composition_theorems():
         p1, p2 = (float(v) for v in rng.uniform(0.05, 0.45, size=2))
         pair = pair_compose(randomized_response(p1), randomized_response(p2))
         eps = randomized_response_epsilon(p1) + randomized_response_epsilon(p2)
-        ok, witness = check_dp_exact(pair, [(0, 1)], PrivacyBudget(eps, 0.0))
-        assert ok, witness
+        report = check_dp_exact(pair, [(0, 1)], PrivacyBudget(eps, 0.0))
+        assert report.verdict == "pass", report.witness
 
     # adaptive composition with branch-dependent second stages
     for _ in range(1000):
@@ -265,8 +269,8 @@ def test_criterion_07_composition_theorems():
         eps = randomized_response_epsilon(p1) + max(
             randomized_response_epsilon(pa), randomized_response_epsilon(pb)
         )
-        ok, witness = check_dp_exact(comp, [(0, 1)], PrivacyBudget(eps, 0.0))
-        assert ok, witness
+        report = check_dp_exact(comp, [(0, 1)], PrivacyBudget(eps, 0.0))
+        assert report.verdict == "pass", report.witness
 
     # post-processing never increases the exact divergence
     for _ in range(1000):
@@ -328,8 +332,8 @@ def test_criterion_08_group_privacy():
         # independent re-check: the k*eps bound and a verifying chain per pair
         budget = PrivacyBudget(k * eps, 0.0)
         for a, b in pairs_within_distance(1, 3, k):
-            ok_pair, witness = check_dp_exact(mech, [(a, b)], budget, slack=1e-10)
-            assert ok_pair, witness
+            report = check_dp_exact(mech, [(a, b)], budget, slack=1e-10)
+            assert report.verdict == "pass", report.witness
             chain = adjacency_chain(a, b, k)
             assert chain_is_valid(chain, a, b, k)
     _report(8, "group privacy at k*eps with explicit adjacency chains")

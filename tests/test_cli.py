@@ -392,7 +392,8 @@ def assert_config_error(tmp_path, capsys, command, payload):
 
 
 class TestNumericConfigFields:
-    """Non-numeric and non-finite config numbers exit 2 with a message."""
+    """Config numbers that are not finite JSON numbers, or not JSON integers
+    where a count or seed is due, exit 2 with a message."""
 
     @pytest.mark.parametrize(
         "path,value",
@@ -402,6 +403,10 @@ class TestNumericConfigFields:
             ("mechanism.sensitivity", INF),
             ("samples", "many"),
             ("seed", NAN),
+            ("samples", 2.9),
+            ("seed", True),
+            ("mechanism.epsilon", True),
+            ("mechanism.epsilon", "0.5"),
         ],
     )
     def test_sample(self, tmp_path, capsys, path, value):
@@ -434,6 +439,9 @@ class TestNumericConfigFields:
             ("l1", "adjacency.n", "two"),
             ("l1", "adjacency.max_entry", NAN),
             ("l1", "adjacency.k", None),
+            ("l1", "adjacency.n", 2.0),
+            ("l1", "adjacency.max_entry", 1.5),
+            ("l1", "adjacency.k", True),
         ],
     )
     def test_audit(self, tmp_path, capsys, config, path, value):
@@ -449,7 +457,16 @@ class TestNumericConfigFields:
 
     @pytest.mark.parametrize(
         "path,value",
-        [("n", "abc"), ("max_entry", INF), ("m_max", "3x"), ("epsilon", NAN), ("tol", NAN)],
+        [
+            ("n", "abc"),
+            ("max_entry", INF),
+            ("m_max", "3x"),
+            ("epsilon", NAN),
+            ("tol", NAN),
+            ("n", 2.5),
+            ("max_entry", 1.0),
+            ("m_max", True),
+        ],
     )
     def test_rnm_verify(self, tmp_path, capsys, path, value):
         payload = {"epsilon": 1.0, "n": 2, "max_entry": 1, "m_max": 1}
@@ -461,6 +478,7 @@ class TestNumericConfigFields:
             ("tree.k", "two"),
             ("tree.child.epsilon", NAN),
             ("tree.child.delta", "tiny"),
+            ("tree.k", 2.0),
         ],
     )
     def test_accountant(self, tmp_path, capsys, path, value):
@@ -568,6 +586,36 @@ class TestHistogramLength:
         spec = {"kind": "mechanism", "mechanism": LAPLACE_N2, "input": {"histogram": [4]}}
         payload = {"epsilon": 0.5, "samples": 2000, "lhs": spec, "rhs": spec}
         assert_one_line_config_error(tmp_path, capsys, "divergence", payload)
+
+
+class TestIntegerInputs:
+    """Histogram entries, query-set indices and input labels must be JSON
+    integers; a float, bool or string exits 2 instead of being truncated."""
+
+    @pytest.mark.parametrize("histogram", [[1.5, 1], [True, 1], ["2", 1]])
+    def test_sample_histogram(self, tmp_path, capsys, histogram):
+        payload = {"mechanism": LAPLACE_N2, "input": {"histogram": histogram}, "samples": 2}
+        err = assert_one_line_config_error(tmp_path, capsys, "sample", payload)
+        assert "non-negative integers" in err
+
+    def test_audit_pair_histogram(self, tmp_path, capsys):
+        payload = {
+            "mechanism": {"kind": "laplace", "queries": {"n": 1, "queries": [[0]]}, "epsilon": 1.0},
+            "budget": {"epsilon": 1.0},
+            "adjacency": {"kind": "pairs", "items": [[{"histogram": [0.9]}, {"histogram": [5]}]]},
+        }
+        assert_one_line_config_error(tmp_path, capsys, "audit", payload)
+
+    @pytest.mark.parametrize("path,value", [("n", 2.5), ("queries", [[0.0]])])
+    def test_query_set(self, tmp_path, capsys, path, value):
+        payload = {"mechanism": LAPLACE_N2, "input": {"histogram": [1, 0]}, "samples": 2}
+        payload = with_field(payload, f"mechanism.queries.{path}", value)
+        err = assert_one_line_config_error(tmp_path, capsys, "sample", payload)
+        assert "must be integers" in err
+
+    def test_input_label(self, tmp_path, capsys):
+        payload = {**AUDIT_RR, "adjacency": {"kind": "pairs", "items": [[True, 0]]}}
+        assert_one_line_config_error(tmp_path, capsys, "audit", payload)
 
 
 class TestComposedMechanisms:

@@ -4,22 +4,25 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpcheck.datasets import (
-    AdjacencyRelation,
     CountingQuerySet,
     Dataset,
-    adjacency_chain,
-    chain_is_valid,
     counting,
     counting_query,
     counting_sensitivity_analytic,
-    counting_sensitivity_exhaustive,
-    dist_l1,
     enumerate_datasets,
-    is_adjacent,
     nth_total,
     pairs_within_distance,
 )
-from dpcheck.errors import CapacityError, DimensionError, InfeasibleError, ValidationError
+from dpcheck.errors import CapacityError, DimensionError, ValidationError
+from oracles import (
+    AdjacencyRelation,
+    InfeasibleError,
+    adjacency_chain,
+    chain_is_valid,
+    counting_sensitivity_exhaustive,
+    dist_l1,
+    is_adjacent,
+)
 
 histograms = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=5)
 

@@ -8,11 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dpcheck.divergence import (
     DiscreteDistribution,
     DiscreteKernel,
-    bind,
-    check_composability_brute_force,
-    check_transitivity,
     clopper_pearson,
-    divergence_brute_force,
     divergence_discrete,
     divergence_laplace_pair,
     divergence_monte_carlo,
@@ -25,10 +21,16 @@ from dpcheck.errors import (
     DimensionError,
     DomainError,
     ParameterError,
-    PreconditionError,
     ValidationError,
 )
 from dpcheck.laplace import LaplaceDistribution, RandomSource, laplace_sample_block
+from oracles import (
+    PreconditionError,
+    bind,
+    check_composability_brute_force,
+    check_transitivity,
+    divergence_brute_force,
+)
 
 
 def random_dist(rng, size, labels=None):

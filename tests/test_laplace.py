@@ -10,13 +10,11 @@ from dpcheck.laplace import (
     LaplaceDistribution,
     RandomSource,
     laplace_cdf,
-    laplace_interval_prob,
     laplace_pdf,
     laplace_sample_block,
-    shift_law_check,
 )
 from dpcheck.quadrature import integrate_piecewise
-from oracles import laplace_quantile
+from oracles import laplace_interval_prob, laplace_quantile, shift_law_check
 
 UNIT = LaplaceDistribution(1.0, 0.0)
 

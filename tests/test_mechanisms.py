@@ -10,7 +10,6 @@ from dpcheck.errors import (
     DimensionError,
     DomainError,
     ParameterError,
-    PreconditionError,
     UnsupportedError,
     ValidationError,
 )
@@ -25,18 +24,17 @@ from dpcheck.mechanisms import (
     check_dp_exact,
     check_dp_laplace,
     check_dp_statistical,
-    check_group_privacy,
     default_events,
     group_budget,
     laplace_mechanism,
     pair_compose,
     post_process,
     randomized_response,
-    randomized_response_epsilon,
     label_array,
     weaken_budget,
 )
 from dpcheck.rnm import rnm_mechanism
+from oracles import PreconditionError, check_group_privacy, randomized_response_epsilon
 
 
 def geometric_mechanism(eps: float, top: int) -> Mechanism:
@@ -162,26 +160,26 @@ class TestRandomizedResponse:
 class TestCheckDpExact:
     def test_rr_passes_at_its_own_epsilon(self):
         mech = randomized_response(0.25)
-        ok, witness = check_dp_exact(mech, [(0, 1)], PrivacyBudget(math.log(3), 0.0))
-        assert ok and witness is None
+        report = check_dp_exact(mech, [(0, 1)], PrivacyBudget(math.log(3), 0.0))
+        assert report.verdict == "pass" and report.witness is None
 
     def test_rr_fails_below_its_epsilon_with_witness(self):
         mech = randomized_response(0.25)
-        ok, witness = check_dp_exact(mech, [(0, 1)], PrivacyBudget(1.0, 0.0))
-        assert not ok
+        report = check_dp_exact(mech, [(0, 1)], PrivacyBudget(1.0, 0.0))
+        assert report.verdict == "violation"
         # the maximizing event reports the input bit itself
-        assert witness.event == (0,)
-        assert witness.gap == pytest.approx(0.75 - math.exp(1.0) * 0.25, abs=1e-12)
+        assert report.witness.event == (0,)
+        assert report.witness.gap == pytest.approx(0.75 - math.exp(1.0) * 0.25, abs=1e-12)
 
     def test_gap_of_one_millionth_is_a_violation(self):
         # at eps = ln((1-p)/p) - eta the event {0} has mass (1-p) under input 0
         # and e^eps p = (1-p) e^-eta under input 1: a gap of (1-p)(1 - e^-eta)
         p, eta = 0.25, 4e-6 / 3
         eps = randomized_response_epsilon(p) - eta
-        ok, witness = check_dp_exact(randomized_response(p), [(0, 1)], PrivacyBudget(eps, 0.0))
-        assert not ok
-        assert witness.gap == pytest.approx((1 - p) * -math.expm1(-eta), rel=1e-6)
-        assert 0.9e-6 < witness.gap < 1.1e-6
+        report = check_dp_exact(randomized_response(p), [(0, 1)], PrivacyBudget(eps, 0.0))
+        assert report.verdict == "violation"
+        assert report.witness.gap == pytest.approx((1 - p) * -math.expm1(-eta), rel=1e-6)
+        assert 0.9e-6 < report.witness.gap < 1.1e-6
 
     def test_reverse_only_violation(self):
         # mu = (0.9, 0.1) and nu = (0.5, 0.5) at eps = ln 2: D(mu||nu) = 0, while
@@ -197,15 +195,15 @@ class TestCheckDpExact:
         )
         budget = PrivacyBudget(math.log(2.0), 0.1)
         assert divergence_discrete(mech.pmf(0), mech.pmf(1), budget.eps).value <= budget.delta
-        ok, witness = check_dp_exact(mech, [(0, 1)], budget)
-        assert not ok
-        assert witness.direction == "reverse"
-        assert witness.event == (1,)
-        assert witness.gap == pytest.approx(0.2, abs=1e-12)
+        report = check_dp_exact(mech, [(0, 1)], budget)
+        assert report.verdict == "violation"
+        assert report.witness.direction == "reverse"
+        assert report.witness.event == (1,)
+        assert report.witness.gap == pytest.approx(0.2, abs=1e-12)
 
     def test_vacuous_on_empty_pairs(self):
-        ok, witness = check_dp_exact(randomized_response(0.1), [], PrivacyBudget(0.0, 0.0))
-        assert ok and witness is None
+        report = check_dp_exact(randomized_response(0.1), [], PrivacyBudget(0.0, 0.0))
+        assert report.verdict == "pass" and report.witness is None
 
     def test_requires_pmf(self):
         mech = Mechanism(None, ("real-vector", 1), lambda x, rng, n: np.zeros((n, 1)))
@@ -227,17 +225,17 @@ class TestCheckDpLaplace:
         q = CountingQuerySet(2, (frozenset({0}), frozenset({0, 1})))
         mech = self._counting_mech(q, 1.0, 2)
         pairs = pairs_within_distance(2, 1, 1)
-        ok, witness = check_dp_laplace(mech, pairs, PrivacyBudget(1.0, 0.0))
-        assert ok, witness
+        report = check_dp_laplace(mech, pairs, PrivacyBudget(1.0, 0.0))
+        assert report.verdict == "pass", report.witness
 
     def test_fails_at_quarter_budget_with_coordinate_witness(self):
         q = CountingQuerySet(2, (frozenset({0}),))
         mech = self._counting_mech(q, 1.0, 1)
         pairs = [(Dataset((0, 0)), Dataset((1, 0)))]
-        ok, witness = check_dp_laplace(mech, pairs, PrivacyBudget(0.25, 0.0))
-        assert not ok
-        assert witness.event == ("coordinate", 0)
-        assert witness.gap > 0.01
+        report = check_dp_laplace(mech, pairs, PrivacyBudget(0.25, 0.0))
+        assert report.verdict == "violation"
+        assert report.witness.event == ("coordinate", 0)
+        assert report.witness.gap > 0.01
 
     def test_requires_densities(self):
         with pytest.raises(UnsupportedError):
@@ -249,12 +247,12 @@ class TestCheckDpLaplace:
         q = CountingQuerySet(1, (frozenset({0}),))
         mech = self._counting_mech(q, 1.0, 1)
         eps = 1.0 - 2e-6
-        ok, witness = check_dp_laplace(
+        report = check_dp_laplace(
             mech, [(Dataset((0,)), Dataset((1,)))], PrivacyBudget(eps, 0.0)
         )
-        assert not ok
-        assert witness.event == ("coordinate", 0)
-        assert witness.gap == pytest.approx(-math.expm1((eps - 1.0) / 2.0), rel=1e-9)
+        assert report.verdict == "violation"
+        assert report.witness.event == ("coordinate", 0)
+        assert report.witness.gap == pytest.approx(-math.expm1((eps - 1.0) / 2.0), rel=1e-9)
 
 
 class TestCheckDpStatistical:
@@ -444,10 +442,9 @@ class TestPairCompose:
         dist = pair.pmf(0)
         assert dist.prob((0, 0)) == pytest.approx(0.5625)
         assert dist.prob((1, 1)) == pytest.approx(0.0625)
-        ok, _ = check_dp_exact(pair, [(0, 1)], PrivacyBudget(2 * eps, 0.0))
-        assert ok
-        ok, witness = check_dp_exact(pair, [(0, 1)], PrivacyBudget(1.5 * eps, 0.0))
-        assert not ok and witness is not None
+        assert check_dp_exact(pair, [(0, 1)], PrivacyBudget(2 * eps, 0.0)).verdict == "pass"
+        report = check_dp_exact(pair, [(0, 1)], PrivacyBudget(1.5 * eps, 0.0))
+        assert report.verdict == "violation" and report.witness is not None
 
     def test_budget_sum_with_trivial_component(self):
         b = add_budgets(PrivacyBudget(1.0, 0.05), PrivacyBudget(0.0, 0.0))
@@ -516,8 +513,7 @@ class TestAdaptiveCompose:
         )
         comp = adaptive_compose(m1, kernel)
         total = math.log(3) + eps2
-        ok, _ = check_dp_exact(comp, [(0, 1)], PrivacyBudget(total, 0.0))
-        assert ok
+        assert check_dp_exact(comp, [(0, 1)], PrivacyBudget(total, 0.0)).verdict == "pass"
 
 
     def test_non_finite_first_stage_rejected(self):
@@ -544,8 +540,8 @@ class TestGroupPrivacy:
         mech = geometric_mechanism(eps, top=3)
         budget = PrivacyBudget(1.5 * eps, 0.0)
         pairs = [(Dataset((0,)), Dataset((2,)))]
-        ok, witness = check_dp_exact(mech, pairs, budget)
-        assert not ok and witness is not None
+        report = check_dp_exact(mech, pairs, budget)
+        assert report.verdict == "violation" and report.witness is not None
 
     def test_precondition_failure(self):
         mech = geometric_mechanism(1.0, top=2)
@@ -677,5 +673,5 @@ class TestPostProcessingPreservesDp:
                 }
             )
             post = post_process(mech, kernel)
-            ok, witness = check_dp_exact(post, [(0, 1)], PrivacyBudget(eps, 0.0))
-            assert ok, witness
+            report = check_dp_exact(post, [(0, 1)], PrivacyBudget(eps, 0.0))
+            assert report.verdict == "pass", report.witness

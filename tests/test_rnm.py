@@ -5,27 +5,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dpcheck.datasets import CountingQuerySet, Dataset
-from dpcheck.errors import (
-    CapacityError,
-    DimensionError,
-    DomainError,
-    ParameterError,
-    PreconditionError,
-)
+from dpcheck.errors import CapacityError, DimensionError, DomainError, ParameterError
 from dpcheck.laplace import LaplaceDistribution, RandomSource, laplace_cdf, laplace_sample_block
-from dpcheck.rnm import (
+from dpcheck.rnm import rnm_mechanism, rnm_pmf, rnm_prob_exact, verify_rnm_dp_finer
+from oracles import (
     NEG_INF,
     NoiseAssignment,
+    PreconditionError,
     argmax_insert,
     argmax_list,
     list_insert,
     max_argmax,
-    rnm_mechanism,
     rnm_p_i,
-    rnm_pmf,
-    rnm_prob_exact,
     verify_max_adjacency,
-    verify_rnm_dp_finer,
 )
 
 finite_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
