@@ -31,9 +31,8 @@ from .divergence import (
     divergence_discrete,
     divergence_laplace_pair,
     divergence_monte_carlo,
-    divergence_report_json,
 )
-from .errors import ConfigError, DpcheckError
+from .errors import ConfigError, DpcheckError, ParameterError
 from .laplace import LaplaceDistribution, RandomSource, laplace_sample_block
 from .mechanisms import (
     Mechanism,
@@ -235,6 +234,8 @@ def _dump(report: dict) -> str:
 
 def cmd_sample(run: RunConfig) -> tuple[int, str]:
     cfg = run.config
+    if run.samples < 1:
+        raise ParameterError(f"sample needs samples >= 1, got {run.samples}")
     mech = build_mechanism(_require(cfg, "mechanism", "sample"))
     value = _parse_input(_require(cfg, "input", "sample"), mech.input_desc)
     rng = RandomSource(run.seed)
@@ -318,7 +319,8 @@ def cmd_divergence(run: RunConfig) -> tuple[int, str]:
     report = {
         "command": "divergence",
         "seed": run.seed,
-        **divergence_report_json(eps, result),
+        "epsilon": eps,
+        **result.to_json(),
     }
     return EXIT_PASS, _dump(report)
 
@@ -517,14 +519,18 @@ def main(argv=None) -> int:
     try:
         run = _load_run(args)
         code, text = _COMMANDS[run.command](run)
+        if run.out:
+            with open(run.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except DpcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if run.out:
-        with open(run.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except Exception as exc:
+        # a stray exception is a defect, never a verdict: exit 2, not 1
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

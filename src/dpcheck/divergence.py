@@ -22,7 +22,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import DomainError, ParameterError, ValidationError
 # laplace_pdf and integrate_piecewise go unused here; bench/spans.py traces them by these names
@@ -70,9 +70,6 @@ class DiscreteDistribution:
         i = self._index.get(label)
         return 0.0 if i is None else self.probs[i]
 
-    def event_prob(self, labels) -> float:
-        return math.fsum(self.prob(x) for x in set(labels))
-
     def sample_index_block(self, rng: RandomSource, n: int) -> np.ndarray:
         """n outcome indices drawn by inverse transform on the support order."""
         cum = np.cumsum(np.asarray(self.probs, dtype=float))
@@ -95,10 +92,6 @@ class DivergenceResult:
 
     def to_json(self) -> dict:
         return {"value": self.value, "method": self.method, "error_bound": self.error_bound}
-
-
-def divergence_report_json(eps: float, result: DivergenceResult) -> dict:
-    return {"epsilon": eps, **result.to_json()}
 
 
 @dataclass(frozen=True)
@@ -186,116 +179,151 @@ def divergence_laplace_pair(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Event:
-    """Named measurable predicate with a vectorized indicator."""
+class IntervalEvents:
+    """Every interval (lo, hi] between two of the sorted bounds, as data, in
+    the order of lo, then hi.  ``counts`` sorts the values once and reads
+    #{v <= b} at every bound b with one ``searchsorted``; the count of
+    (lo, hi] is #{v <= hi} - #{v <= lo}."""
 
-    label: str
-    indicator: Callable[[np.ndarray], np.ndarray]
+    def __init__(self, bounds: Sequence[float]):
+        self.bounds = tuple(bounds)
+        self._lo, self._hi = np.triu_indices(len(self.bounds), 1)
+
+    def __len__(self) -> int:
+        return len(self._lo)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        b = self.bounds
+        return tuple(f"({b[i]:.6g}, {b[j]:.6g}]" for i, j in zip(self._lo, self._hi))
+
+    def counts(self, values) -> np.ndarray:
+        ordered = np.sort(np.asarray(values, dtype=float))
+        at_most = np.searchsorted(ordered, self.bounds, side="right")
+        return at_most[self._hi] - at_most[self._lo]
 
 
-def interval_events(values: np.ndarray, grid: int = 16) -> list[Event]:
+class LabelEvents:
+    """Label subsets of a finite support, as data: row r of the 0/1 matrix
+    ``members`` marks the labels of event r.  ``counts`` codes a block's
+    labels to support indices once (a label outside the support falls in no
+    event), counts them with ``bincount`` and sums every event's count with
+    one matrix product."""
+
+    def __init__(self, support: Sequence, members: np.ndarray):
+        self.support, self.members = tuple(support), members
+
+    def __len__(self) -> int:
+        return len(self.members)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        rows = self.members.tolist()
+        return tuple(repr(set(tuple(x for x, bit in zip(self.support, r) if bit))) for r in rows)
+
+    def counts(self, values) -> np.ndarray:
+        m = len(self.support)
+        code = {x: i for i, x in enumerate(self.support)}
+        values = values.tolist() if isinstance(values, np.ndarray) else values
+        codes = np.fromiter((code.get(x, m) for x in values), dtype=np.intp, count=len(values))
+        return self.members @ np.bincount(codes, minlength=m + 1)[:m]
+
+
+class EventUnion:
+    """The events of several families, each read off its own columns of a
+    2-D block, with its labels prefixed; events run part by part."""
+
+    def __init__(self, parts: Sequence[tuple[str, int | slice, object]]):
+        self.parts = tuple(parts)
+
+    def __len__(self) -> int:
+        return sum(len(family) for _, _, family in self.parts)
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(prefix + label for prefix, _, family in self.parts for label in family.labels)
+
+    def counts(self, block) -> np.ndarray:
+        block = np.asarray(block)
+        parts = [family.counts(block[:, cols]) for _, cols, family in self.parts]
+        return np.concatenate([np.zeros(0, dtype=np.intp), *parts])
+
+
+EventFamily = IntervalEvents | LabelEvents | EventUnion
+
+
+def interval_events(values: np.ndarray, grid: int = 16) -> IntervalEvents:
     """Half-open intervals with endpoints on the empirical quantile grid."""
     values = np.asarray(values, dtype=float)
     edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, grid)))
-    bounds = [-np.inf, *edges.tolist(), np.inf]
-    events = []
-    for i in range(len(bounds)):
-        for j in range(i + 1, len(bounds)):
-            lo, hi = bounds[i], bounds[j]
-            events.append(
-                Event(
-                    f"({lo:.6g}, {hi:.6g}]",
-                    lambda v, lo=lo, hi=hi: (np.asarray(v, dtype=float) > lo)
-                    & (np.asarray(v, dtype=float) <= hi),
-                )
-            )
-    return events
+    return IntervalEvents([-math.inf, *edges.tolist(), math.inf])
 
 
-def label_subset_events(labels: Sequence, cap: int = 12) -> list[Event]:
+def label_subset_events(labels: Sequence, cap: int = 12) -> LabelEvents:
     """Every nonempty subset of a small label set; singletons past the cap."""
-    labels = list(dict.fromkeys(labels))
-    if len(labels) <= cap:
-        subsets = []
-        for mask in range(1, 2 ** len(labels)):
-            subset = tuple(labels[i] for i in range(len(labels)) if mask >> i & 1)
-            subsets.append(subset)
-    else:
-        subsets = [(x,) for x in labels]
-    return [
-        Event(repr(set(subset)), lambda v, s=frozenset(subset): np.array([x in s for x in v]))
-        for subset in subsets
-    ]
+    labels = tuple(dict.fromkeys(labels))
+    m = len(labels)
+    if m > cap:
+        return LabelEvents(labels, np.eye(m, dtype=np.int8))
+    # row r is the bit mask r + 1 over the labels
+    return LabelEvents(labels, (np.arange(1, 2**m)[:, None] >> np.arange(m)) & 1)
 
 
-def coordinate_interval_events(matrix: np.ndarray, grid: int = 12) -> list[Event]:
+def coordinate_interval_events(matrix: np.ndarray, grid: int = 12) -> EventUnion:
     """Per-coordinate interval cylinders for vector-valued samples."""
     matrix = np.asarray(matrix, dtype=float)
-    events = []
-    for j in range(matrix.shape[1]):
-        for ev in interval_events(matrix[:, j], grid):
-            events.append(
-                Event(
-                    f"x[{j}] in {ev.label}",
-                    lambda v, j=j, ind=ev.indicator: ind(np.asarray(v, dtype=float)[:, j]),
-                )
-            )
-    return events
+    return EventUnion(
+        [(f"x[{j}] in ", j, interval_events(matrix[:, j], grid)) for j in range(matrix.shape[1])]
+    )
 
 
-def clopper_pearson(k: int, n: int, alpha: float) -> tuple[float, float]:
-    """Two-sided exact binomial confidence interval at level 1 - alpha."""
-    if not 0 <= k <= n:
-        raise DomainError(f"count {k} outside 0..{n}")
-    lo = 0.0 if k == 0 else float(stats.beta.ppf(alpha / 2.0, k, n - k + 1))
-    hi = 1.0 if k == n else float(stats.beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+def clopper_pearson(k, n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Two-sided exact binomial confidence intervals at level 1 - alpha, one
+    per count in k: the alpha/2 and 1 - alpha/2 quantiles of Beta(k, n-k+1)
+    and Beta(k+1, n-k), with 0 at k = 0 and 1 at k = n."""
+    k = np.asarray(k)
+    if np.any((k < 0) | (k > n)):
+        raise DomainError(f"counts must lie in 0..{n}")
+    lo = np.where(k == 0, 0.0, special.betaincinv(k, n - k + 1, alpha / 2.0))
+    hi = np.where(k == n, 1.0, special.betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 
 @dataclass(frozen=True)
 class EventEstimate:
-    event: Event
-    count_mu: int
-    count_nu: int
-    point: float
-    lower: float
-    upper: float
+    """Per-event point estimates and confidence bounds on mu(S) - exp(eps) nu(S)."""
+
+    point: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
 
 
 def estimate_events(
     samples_mu,
     samples_nu,
-    events: Sequence[Event],
+    events: EventFamily,
     eps: float,
     alpha_each: float,
-) -> list[EventEstimate]:
-    """Confidence bounds on mu(S) - exp(eps) nu(S) per event at level alpha_each."""
-    n_mu, n_nu = len(samples_mu), len(samples_nu)
+) -> tuple[EventEstimate, EventEstimate]:
+    """Per-event bounds at level alpha_each for (mu, nu) and for (nu, mu).
+
+    Each block is counted once and gets one Clopper-Pearson call; both
+    directions are built from those counts and bounds.
+    """
     scale = math.exp(eps)
-    out = []
-    for ev in events:
-        k_mu = int(np.count_nonzero(ev.indicator(samples_mu)))
-        k_nu = int(np.count_nonzero(ev.indicator(samples_nu)))
-        lo_mu, hi_mu = clopper_pearson(k_mu, n_mu, alpha_each)
-        lo_nu, hi_nu = clopper_pearson(k_nu, n_nu, alpha_each)
-        out.append(
-            EventEstimate(
-                event=ev,
-                count_mu=k_mu,
-                count_nu=k_nu,
-                point=k_mu / n_mu - scale * k_nu / n_nu,
-                lower=lo_mu - scale * hi_nu,
-                upper=hi_mu - scale * lo_nu,
-            )
-        )
-    return out
+    n_mu, n_nu = len(samples_mu), len(samples_nu)
+    k_mu, k_nu = events.counts(samples_mu), events.counts(samples_nu)
+    lo_mu, hi_mu = clopper_pearson(k_mu, n_mu, alpha_each)
+    lo_nu, hi_nu = clopper_pearson(k_nu, n_nu, alpha_each)
+    forward = (k_mu / n_mu - scale * k_nu / n_nu, lo_mu - scale * hi_nu, hi_mu - scale * lo_nu)
+    reverse = (k_nu / n_nu - scale * k_mu / n_mu, lo_nu - scale * hi_mu, hi_nu - scale * lo_mu)
+    return EventEstimate(*forward), EventEstimate(*reverse)
 
 
 def divergence_monte_carlo(
     sampler_mu: Callable[[int], np.ndarray],
     sampler_nu: Callable[[int], np.ndarray],
-    event_family: Sequence[Event],
+    event_family: EventFamily,
     eps: float,
     samples: int = 100_000,
     alpha: float = 0.01,
@@ -316,9 +344,9 @@ def divergence_monte_carlo(
         raise DomainError("event family must be nonempty")
     xs = sampler_mu(samples)
     ys = sampler_nu(samples)
-    table = estimate_events(xs, ys, event_family, eps, alpha / len(event_family))
-    best_lower = max(e.lower for e in table)
-    best_upper = max(e.upper for e in table)
+    table, _ = estimate_events(xs, ys, event_family, eps, alpha / len(event_family))
+    best_lower = float(table.lower.max())
+    best_upper = float(table.upper.max())
     value = max(0.0, best_lower)
     # value + error_bound dominates the simultaneous upper confidence bound
     # for the family-restricted supremum

@@ -19,7 +19,8 @@ from .datasets import Dataset
 from .divergence import (
     DiscreteDistribution,
     DiscreteKernel,
-    Event,
+    EventFamily,
+    EventUnion,
     coordinate_interval_events,
     divergence_laplace_pair,
     estimate_events,
@@ -315,7 +316,7 @@ def _width(desc: tuple) -> int:
     return desc[1] if desc[0] == "real-vector" else 1
 
 
-def default_events(desc: tuple, xs, ys) -> list[Event]:
+def default_events(desc: tuple, xs, ys) -> EventFamily:
     """The statistical event family for outputs of kind ``desc``.
 
     Finite outputs get label subsets and a real vector gets per-coordinate
@@ -331,20 +332,14 @@ def default_events(desc: tuple, xs, ys) -> list[Event]:
         return coordinate_interval_events(pooled)
     if kind != "product":
         raise UnsupportedError(f"no default event family for outputs of kind {kind!r}")
-    events = []
+    parts = []
     start = 0
     for i, part in enumerate(desc[1]):
         cols = start if part[0] == "finite" else slice(start, start + _width(part))
         start += _width(part)
-
-        def pick(v, cols=cols):
-            return np.asarray(v)[:, cols]
-
-        for ev in default_events(part, pick(xs), pick(ys)):
-            events.append(
-                Event(f"part {i}: {ev.label}", lambda v, ind=ev.indicator, pick=pick: ind(pick(v)))
-            )
-    return events
+        family = default_events(part, np.asarray(xs)[:, cols], np.asarray(ys)[:, cols])
+        parts.append((f"part {i}: ", cols, family))
+    return EventUnion(parts)
 
 
 def check_dp_statistical(
@@ -378,14 +373,14 @@ def check_dp_statistical(
     max_lower = -math.inf
     alpha_each = alpha / tests
     for pair, xs, ys, pair_events in rows:
-        for direction, lhs, rhs in (("forward", xs, ys), ("reverse", ys, xs)):
-            for est in estimate_events(lhs, rhs, pair_events, budget.eps, alpha_each):
-                max_point = max(max_point, est.point)
-                max_lower = max(max_lower, est.lower)
-                if est.lower > budget.delta and witness is None:
-                    witness = DpWitness(
-                        pair, direction, est.event.label, est.lower - budget.delta
-                    )
+        both = estimate_events(xs, ys, pair_events, budget.eps, alpha_each)
+        for direction, est in zip(("forward", "reverse"), both):
+            max_point = max(max_point, float(est.point.max()))
+            max_lower = max(max_lower, float(est.lower.max()))
+            hits = np.flatnonzero(est.lower > budget.delta)
+            if witness is None and hits.size:
+                gap = float(est.lower[hits[0]]) - budget.delta
+                witness = DpWitness(pair, direction, pair_events.labels[hits[0]], gap)
 
     # Data-independent scale of estimator noise at the corrected level.  A
     # point estimate within half this band of delta is indistinguishable

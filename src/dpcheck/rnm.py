@@ -13,7 +13,7 @@ test oracles in ``tests/oracles.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -173,18 +173,11 @@ class RnmVerifyReport:
     unstable_cells: int
 
     def to_json(self) -> dict:
-        return {
-            "epsilon": self.eps,
-            "tol": self.tol,
-            "m": self.m,
-            "finer_bound": self.finer_bound,
-            "naive_bound": self.naive_bound,
-            "max_ratio": self.max_ratio,
-            "all_pass": self.all_pass,
-            "dichotomy_ok": self.dichotomy_ok,
-            "unstable_cells": self.unstable_cells,
-            "rows": [r.to_json() for r in self.rows],
-        }
+        """Every field under its own name, but ``eps`` as ``epsilon``."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["epsilon"] = out.pop("eps")
+        out["rows"] = [r.to_json() for r in self.rows]
+        return out
 
 
 def _dichotomy_holds(qa: Sequence[int], qb: Sequence[int]) -> bool:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -237,6 +237,11 @@ def bind(mu: DiscreteDistribution, kernel: DiscreteKernel) -> DiscreteDistributi
     return DiscreteDistribution.from_mapping(acc)
 
 
+def event_prob(dist: DiscreteDistribution, labels) -> float:
+    """dist(S) for the event S holding the given labels (repeats count once)."""
+    return math.fsum(dist.prob(x) for x in set(labels))
+
+
 def _subset_gap_vector(p: np.ndarray, q: np.ndarray, eps: float) -> np.ndarray:
     """mu(S) - exp(eps) nu(S) for every subset S, indexed by bitmask."""
     diffs = p - math.exp(eps) * q
@@ -329,6 +334,89 @@ def check_transitivity(
             f"transitivity hypotheses fail: div12 = {d12}, div23 = {d23}"
         )
     return divergence_discrete(mu1, mu3, eps1 + eps2).value <= slack
+
+
+# ---------------------------------------------------------------------------
+# Statistical event families, one indicator mask per event
+# ---------------------------------------------------------------------------
+
+
+def interval_masks(values, grid: int = 16) -> list[tuple[str, Callable]]:
+    """(label, indicator) per interval (lo, hi] between two quantile-grid bounds."""
+    values = np.asarray(values, dtype=float)
+    edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, grid)))
+    bounds = [-np.inf, *edges.tolist(), np.inf]
+
+    def indicator(lo, hi):
+        return lambda v: (np.asarray(v, dtype=float) > lo) & (np.asarray(v, dtype=float) <= hi)
+
+    return [
+        (f"({lo:.6g}, {hi:.6g}]", indicator(lo, hi))
+        for i, lo in enumerate(bounds)
+        for hi in bounds[i + 1 :]
+    ]
+
+
+def label_subset_masks(labels, cap: int = 12) -> list[tuple[str, Callable]]:
+    """(label, indicator) per nonempty label subset; singletons past the cap."""
+    labels = list(dict.fromkeys(labels))
+    if len(labels) <= cap:
+        subsets = [
+            tuple(x for i, x in enumerate(labels) if mask >> i & 1)
+            for mask in range(1, 2 ** len(labels))
+        ]
+    else:
+        subsets = [(x,) for x in labels]
+
+    def indicator(members):
+        return lambda v: np.array([x in members for x in v], dtype=bool)
+
+    return [(repr(set(subset)), indicator(frozenset(subset))) for subset in subsets]
+
+
+def _columns(desc: tuple) -> int:
+    if desc[0] == "product":
+        return sum(_columns(part) for part in desc[1])
+    return desc[1] if desc[0] == "real-vector" else 1
+
+
+def default_event_masks(desc: tuple, xs, ys) -> list[tuple[str, Callable]]:
+    """The default statistical event family for outputs of kind ``desc``, as
+    (label, indicator) pairs: label subsets, grid-12 intervals per
+    coordinate of the pooled draws, and for a product each part's events
+    on that part's columns."""
+    if desc[0] == "finite":
+        return label_subset_masks(desc[1])
+    if desc[0] == "real-vector":
+        pooled = np.concatenate([np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)])
+
+        def column(j, ind):
+            return lambda v: ind(np.asarray(v, dtype=float)[:, j])
+
+        return [
+            (f"x[{j}] in {label}", column(j, ind))
+            for j in range(pooled.shape[1])
+            for label, ind in interval_masks(pooled[:, j], 12)
+        ]
+    events = []
+    start = 0
+    for i, part in enumerate(desc[1]):
+        cols = start if part[0] == "finite" else slice(start, start + _columns(part))
+        start += _columns(part)
+
+        def on_part(ind, cols=cols):
+            return lambda v: ind(np.asarray(v)[:, cols])
+
+        picked = [np.asarray(block)[:, cols] for block in (xs, ys)]
+        events += [
+            (f"part {i}: {label}", on_part(ind)) for label, ind in default_event_masks(part, *picked)
+        ]
+    return events
+
+
+def mask_counts(events: Sequence[tuple[str, Callable]], block) -> tuple[list[str], list[int]]:
+    """Labels and per-event counts of a block, one mask per event."""
+    return [label for label, _ in events], [int(np.count_nonzero(ind(block))) for _, ind in events]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from dpcheck import cli
 from dpcheck.cli import (
     EXIT_CONFIG,
     EXIT_INCONCLUSIVE,
@@ -523,6 +524,25 @@ POST_RR = {"kind": "composed", "op": "post", "base": RR, "map": {"0": "no", "1":
 LAPLACE_N2 = {"kind": "laplace", "queries": {"n": 2, "queries": [[0]]}, "epsilon": 1.0}
 DIVERGENCE = {"epsilon": 1.0, "lhs": DISCRETE, "rhs": DISCRETE}
 AUDIT_RR = {"mechanism": RR, "budget": {"epsilon": 1.0}, "adjacency": BIT_PAIR}
+
+
+class TestExitCodeContract:
+    """Only a verdict exits 1: bad sample counts and stray exceptions exit 2."""
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_sample_needs_a_positive_sample_count(self, tmp_path, capsys, samples):
+        payload = {"mechanism": RR, "input": 1, "samples": samples}
+        err = assert_one_line_config_error(tmp_path, capsys, "sample", payload)
+        assert err == f"error: sample needs samples >= 1, got {samples}\n"
+
+    def test_stray_exception_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch):
+        def broken(run):
+            raise ValueError("negative dimensions are not allowed")
+
+        monkeypatch.setitem(cli._COMMANDS, "sample", broken)
+        payload = {"mechanism": RR, "input": 1, "samples": 3}
+        err = assert_one_line_config_error(tmp_path, capsys, "sample", payload)
+        assert err == "error: internal: ValueError('negative dimensions are not allowed')\n"
 
 
 class TestStructuralConfigErrors:

@@ -4,10 +4,14 @@ in ``src/dpcheck`` outside its own definition.
 A name that only tests use is a second implementation or a lemma check;
 it belongs in ``tests/oracles.py``.  A use is a ``Name`` or an
 ``Attribute`` node; import statements and the re-exports of
-``__init__.py`` do not count.
+``__init__.py`` do not count.  Importing the command line also leaves
+``scipy.stats`` unloaded.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "dpcheck"
@@ -50,3 +54,13 @@ def unused_top_level_names() -> list[str]:
 def test_every_top_level_name_is_used_in_src():
     unused = unused_top_level_names()
     assert not unused, "no use in src/dpcheck: " + ", ".join(unused)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats alone costs more import time and memory than the rest of
+    # the command line; the library needs only scipy.special
+    probe = "import sys, dpcheck.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

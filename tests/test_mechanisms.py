@@ -643,12 +643,15 @@ class TestDefaultEvents:
         events = default_events(pair.output_desc, xs, ys)
         real = default_events(laplace.output_desc, xs[:, :1], ys[:, :1])
         labels = default_events(("finite", (0, 1)), xs[:, 1], ys[:, 1])
-        assert [ev.label for ev in events] == [f"part 0: {ev.label}" for ev in real] + [
-            f"part 1: {ev.label}" for ev in labels
+        assert list(events.labels) == [f"part 0: {label}" for label in real.labels] + [
+            f"part 1: {label}" for label in labels.labels
         ]
-        for ev, part in zip(events, real + labels):
-            cols = xs[:, :1] if ev.label.startswith("part 0") else xs[:, 1]
-            assert ev.indicator(xs).tolist() == part.indicator(cols).tolist()
+        # each event holds a row exactly when its part's event holds on that
+        # row's columns: a one-row block counts 1 or 0
+        for r in range(len(xs)):
+            row = xs[r : r + 1]
+            part_counts = [*real.counts(row[:, :1]), *labels.counts(row[:, 1])]
+            assert events.counts(row).tolist() == part_counts
 
     def test_unknown_kind_has_no_family(self):
         with pytest.raises(UnsupportedError):
